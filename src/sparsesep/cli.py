@@ -23,6 +23,7 @@ import argparse
 import csv
 import os
 import sys
+from io import StringIO
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from . import dictionaries as dicts
 from . import qpat
 from .diagnostics import cs2_probe, dictionary_aligned_probes, random_sparse_probes
 from .errors import SolverError, ValidationError
-from .grid import Grid2, MeasurementSet, relative_log_error, to_log
-from .io import read_csv_grid, read_rg2, write_csv_grid, write_pgm16, write_rg2
+from .grid import Grid2, MeasurementSet
+from .io import _atomic_write, read_csv_grid, read_rg2, write_csv_grid, write_pgm16, write_rg2
 from .omp import OmpConfig, StackedSystem, omp_block
 from .pde import DiffusionProblem, solve_diffusion
 from .tv import TvConfig, tv_denoise
@@ -134,19 +135,13 @@ def _write_metrics(path: str, rows: list[tuple]) -> None:
     lines = ["stage,N,error,residual"]
     for stage, n, error, residual in rows:
         lines.append(f"{stage},{n},{float(error)!r},{float(residual)!r}")
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_residual_history(path: str, residuals) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,residual\n")
-        for it, r in enumerate(residuals):
-            fh.write(f"{it},{float(r)!r}\n")
-    os.replace(tmp, path)
+    lines = ["iteration,residual"]
+    lines += [f"{it},{float(r)!r}" for it, r in enumerate(residuals)]
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +195,12 @@ def _cmd_diagnose(args) -> int:
     probes = random_sparse_probes(A_f.m, args.n_probes, args.probe_sparsity, rng, scale=10 * args.d_const)
     probes += dictionary_aligned_probes(A_f, A_g, args.n_probes, rng, scale=10 * args.d_const)
     records = cs2_probe(A_f, A_g, y_f_supp, y_g_supps, probes, args.d_const)
-    tmp = f"{args.out}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_id", "in_domain", "lhs", "rhs", "margin"])
-        for r in records:
-            writer.writerow([r.probe_id, int(r.in_domain), r.lhs, r.rhs, r.margin])
-    os.replace(tmp, args.out)
+    buf = StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["probe_id", "in_domain", "lhs", "rhs", "margin"])
+    for r in records:
+        writer.writerow([r.probe_id, int(r.in_domain), r.lhs, r.rhs, r.margin])
+    _atomic_write(args.out, buf.getvalue().encode("utf-8"))
     return 0
 
 
@@ -264,7 +258,7 @@ def _cmd_qpat_gammavar(args) -> int:
     mu = qpat.phantom(cfg["phantom_kind"], d)
     gamma = qpat.smooth_bumps(d, bumps=((0.40, 0.40, 0.18, 0.4),))
     D_true = qpat.smooth_bumps(d, bumps=((0.62, 0.64, 0.20, 0.5),))
-    phis = [qpat.boundary_family("gammavar", i, d) for i in range(1, 6)]
+    phis = [qpat.boundary_family("gammavar", i, d) for i in range(1, cfg["n_measurements"] + 1)]
     problem = qpat.make_qpat_problem(gamma, mu, D_true, phis,
                                      noise_seed=cfg["seed"], noise_level=cfg["noise_level"])
     A_f = dicts.haar2d(cfg["J"])

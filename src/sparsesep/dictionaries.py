@@ -34,12 +34,13 @@ order, each raveled with l2 slow / l1 fast, constant atom last.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import methodcaller
+
 import numpy as np
 from scipy.linalg import hadamard
 
 from .errors import ValidationError
-
-_FLAT_KINDS = ("identity", "fourier1d", "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +50,11 @@ def haar_atom_count(J: int) -> int:
     return 4 ** J
 
 
-def _haar_analyze_images(x: np.ndarray, J: int) -> np.ndarray:
-    """x: (..., d, d) -> coefficients (..., 4**J)."""
-    lead = x.shape[:-2]
+def _haar_analyze_rows(rows: np.ndarray, J: int) -> np.ndarray:
+    """Signals (batch, 4**J) -> coefficients (batch, 4**J)."""
+    lead = rows.shape[:1]
     parts = []
-    P = x
+    P = rows.reshape(lead + (2 ** J, 2 ** J))
     for j in range(1, J):
         A = P[..., 0::2, 0::2]
         B = P[..., 0::2, 1::2]
@@ -68,8 +69,8 @@ def _haar_analyze_images(x: np.ndarray, J: int) -> np.ndarray:
     return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
 
 
-def _haar_synthesize_images(y: np.ndarray, J: int) -> np.ndarray:
-    """y: (..., 4**J) -> images (..., d, d)."""
+def _haar_synthesize_rows(y: np.ndarray, J: int) -> np.ndarray:
+    """Coefficients (batch, 4**J) -> signals (batch, 4**J)."""
     lead = y.shape[:-1]
     pos = 0
     details = []
@@ -96,7 +97,7 @@ def _haar_synthesize_images(y: np.ndarray, J: int) -> np.ndarray:
         P[..., 0::2, 1::2] = B
         P[..., 1::2, 0::2] = C
         P[..., 1::2, 1::2] = D
-    return P
+    return P.reshape(lead + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +127,10 @@ class _SinusoidTables:
         self.counts = (L * L, (L + 1) * L, L * (L + 1), (L + 1) * (L + 1) - 1)
         self.m = sum(self.counts) + (1 if include_constant else 0)
 
-    def analyze(self, x: np.ndarray) -> np.ndarray:
-        """x: (..., d, d) -> (..., m)."""
-        lead = x.shape[:-2]
+    def analyze(self, rows: np.ndarray) -> np.ndarray:
+        """Signals (batch, d*d) -> coefficients (batch, m)."""
+        lead = rows.shape[:1]
+        x = rows.reshape(lead + (self.d, self.d))
         sx = self.S @ x
         cx = self.C @ x
         p1 = (sx @ self.S.T) * self.w1
@@ -142,7 +144,7 @@ class _SinusoidTables:
         return np.concatenate(parts, axis=-1)
 
     def synthesize(self, y: np.ndarray) -> np.ndarray:
-        """y: (..., m) -> (..., d, d)."""
+        """Coefficients (batch, m) -> signals (batch, d*d)."""
         lead = y.shape[:-1]
         L = self.L
         c1, c2, c3, c4 = self.counts
@@ -157,7 +159,7 @@ class _SinusoidTables:
         x = St @ (m1 @ self.S) + Ct @ (m2 @ self.S) + St @ (m3 @ self.C) + Ct @ (m4 @ self.C)
         if self.include_constant:
             x = x + (y[..., pos] / self.d)[..., None, None]
-        return x
+        return x.reshape(lead + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +169,20 @@ class Dictionary:
     """Indexed family of unit-norm atoms with synthesis/analysis operators.
 
     Immutable after construction; analyze/synthesize are pure.  Signals are
-    1D vectors of length n; batched variants act on stacked rows.
+    1D vectors of length n; batched variants act on stacked rows.  The
+    factories below supply the operators as two row-batch callables,
+    ``analyze_rows`` (batch, n) -> (batch, m) and ``synthesize_rows``
+    (batch, m) -> (batch, n); ``kind`` is only a label.  ``matrix`` is the
+    dense atom matrix when the factory already holds one.
     """
 
-    def __init__(self, kind: str, n: int, m: int, *, J=None, tables=None, matrix=None):
+    def __init__(self, kind: str, n: int, m: int, analyze_rows, synthesize_rows, matrix=None):
         self.kind = kind
         self.n = n
         self.m = m
-        self._J = J
-        self._tables = tables
+        self._analyze_rows = analyze_rows
+        self._synthesize_rows = synthesize_rows
         self._matrix = matrix
-        self._d = int(round(np.sqrt(n))) if kind in ("haar2d", "sinusoid2d") else None
 
     def __repr__(self):
         return f"Dictionary(kind={self.kind!r}, n={self.n}, m={self.m})"
@@ -229,26 +234,6 @@ class Dictionary:
             raise ValidationError(f"expected signal of length {self.n}, got shape {signal.shape}")
         return signal
 
-    def _analyze_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self.kind == "haar2d":
-            imgs = rows.reshape(rows.shape[0], self._d, self._d)
-            return _haar_analyze_images(imgs, self._J)
-        if self.kind == "sinusoid2d":
-            imgs = rows.reshape(rows.shape[0], self._d, self._d)
-            return self._tables.analyze(imgs)
-        if self.kind == "identity":
-            return rows.copy()
-        return rows @ self._matrix
-
-    def _synthesize_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self.kind == "haar2d":
-            return _haar_synthesize_images(rows, self._J).reshape(rows.shape[0], self.n)
-        if self.kind == "sinusoid2d":
-            return self._tables.synthesize(rows).reshape(rows.shape[0], self.n)
-        if self.kind == "identity":
-            return rows.copy()
-        return rows @ self._matrix.T
-
 
 # ---------------------------------------------------------------------------
 # Factories
@@ -256,8 +241,9 @@ class Dictionary:
 def haar2d(J: int) -> Dictionary:
     if not (isinstance(J, (int, np.integer)) and J >= 2):
         raise ValidationError(f"haar2d needs an integer J >= 2, got {J!r}")
-    d = 2 ** int(J)
-    return Dictionary("haar2d", d * d, haar_atom_count(J), J=int(J))
+    J = int(J)
+    return Dictionary("haar2d", 4 ** J, haar_atom_count(J),
+                      partial(_haar_analyze_rows, J=J), partial(_haar_synthesize_rows, J=J))
 
 
 def sinusoid2d(d: int, L: int, include_constant: bool = False) -> Dictionary:
@@ -266,20 +252,29 @@ def sinusoid2d(d: int, L: int, include_constant: bool = False) -> Dictionary:
     if not 1 <= L <= d // 2 - 1:
         raise ValidationError(f"sinusoid2d needs 1 <= L <= d/2 - 1 = {d // 2 - 1}, got {L}")
     tables = _SinusoidTables(int(d), int(L), bool(include_constant))
-    return Dictionary("sinusoid2d", d * d, tables.m, tables=tables)
+    return Dictionary("sinusoid2d", d * d, tables.m, tables.analyze, tables.synthesize)
 
 
 def identity(n: int) -> Dictionary:
     if n < 1:
         raise ValidationError(f"identity needs n >= 1, got {n}")
-    return Dictionary("identity", int(n), int(n))
+    copy_rows = methodcaller("copy")
+    return Dictionary("identity", int(n), int(n), copy_rows, copy_rows)
+
+
+def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return rows @ mat
+
+
+def _matrix_dictionary(kind: str, mat: np.ndarray) -> Dictionary:
+    return Dictionary(kind, mat.shape[0], mat.shape[1],
+                      partial(_times, mat=mat), partial(_times, mat=mat.T), matrix=mat)
 
 
 def fourier1d(n: int) -> Dictionary:
     if n < 2 or n & (n - 1):
         raise ValidationError(f"fourier1d needs n a power of two >= 2, got {n}")
-    mat = hadamard(int(n)).astype(np.float64) / np.sqrt(n)
-    return Dictionary("fourier1d", int(n), int(n), matrix=mat)
+    return _matrix_dictionary("fourier1d", hadamard(int(n)).astype(np.float64) / np.sqrt(n))
 
 
 def explicit(matrix: np.ndarray) -> Dictionary:
@@ -290,7 +285,7 @@ def explicit(matrix: np.ndarray) -> Dictionary:
     if np.any(np.abs(norms - 1.0) > 1e-8):
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise ValidationError(f"atom {worst} has norm {norms[worst]}, expected 1")
-    return Dictionary("explicit", mat.shape[0], mat.shape[1], matrix=mat)
+    return _matrix_dictionary("explicit", mat)
 
 
 def concatenate(*dicts: Dictionary) -> Dictionary:

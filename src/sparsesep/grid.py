@@ -1,5 +1,6 @@
 """Core signal containers: square images, stacked coefficient blocks and
-measurement sets, with the norms and log/exp transforms shared by all modules.
+measurement sets, with the norms, log/exp transforms and the forward-difference
+gradient/divergence pair shared by all modules.
 
 Conventions
 -----------
@@ -11,7 +12,7 @@ flattened 1D signal index is ``(a2 - 1) * d + (a1 - 1)`` and plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +88,26 @@ def relative_log_error(mu: Grid2, mu_true: Grid2) -> float:
     if den == 0.0:
         raise DomainError("relative_log_error undefined: log of reference is identically zero")
     return float(num / den)
+
+
+def grad_forward(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences on edges: gx (d, d-1) along x1, gy (d-1, d) along x2."""
+    gx = (w[:, 1:] - w[:, :-1]) / h
+    gy = (w[1:, :] - w[:-1, :]) / h
+    return gx, gy
+
+
+def div_adjoint(gx: np.ndarray, gy: np.ndarray, h: float) -> np.ndarray:
+    """Negative transpose of :func:`grad_forward`: <grad w, p> = -<w, div p>."""
+    d = gx.shape[0]
+    out = np.zeros((d, d))
+    out[:, 0] += gx[:, 0]
+    out[:, 1:-1] += gx[:, 1:] - gx[:, :-1]
+    out[:, -1] -= gx[:, -1]
+    out[0, :] += gy[0, :]
+    out[1:-1, :] += gy[1:, :] - gy[:-1, :]
+    out[-1, :] -= gy[-1, :]
+    return out / h
 
 
 def _support(x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ the lambda-weighted penalized form used by the variable-Gamma pipeline.
 The joint least-squares refit exploits the block structure of the stacked
 Gram matrix (diagonal within each dictionary because both atom sets are
 orthonormal, dense only across the f/g boundary) and maintains a Cholesky
-factor extended by one row per selected atom, so every iterate is the exact
+factor extended by one column per selected atom, so every iterate is the exact
 least-squares fit on the active set.  All dictionary applications go through
 the fast transforms; the stacked matrix is never materialized.
 """
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from .dictionaries import Dictionary
 from .errors import ValidationError
@@ -79,6 +80,16 @@ class StackedSystem:
         return len(self.h)
 
 
+def _solve_factor(U: np.ndarray, k: int, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """Solve U_k x = rhs (trans=0) or U_k^T x = rhs (trans=1) for the leading
+    k x k block of the upper factor U, stored in Fortran order so the block is
+    passed to LAPACK in place (leading dimension U.shape[0]), without a copy."""
+    x, info = dtrtrs(U[:, :k], rhs, lower=0, trans=trans)
+    if info:
+        raise LinAlgError(f"singular factor: trtrs returned info={info}")
+    return x
+
+
 @dataclass(frozen=True)
 class OmpReport:
     """Per-run diagnostics: stacked residual history (entry 0 is the initial
@@ -128,7 +139,7 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
     forced = [int(i) for i in (forced or [])]
     total_cols = m_f + n_blocks * m_g
     max_k = min(len(forced) + cfg.max_iterations, m_f + int(live_g.sum()) * m_g)
-    L = np.zeros((max_k, max_k))
+    U = np.zeros((max_k, max_k), order="F")   # Cholesky factor, upper: Gram = U^T U
     bvec = np.zeros(max_k)
     cross_f = np.zeros((max_k, m_g))        # analysis of each active f atom in A_g
     pos_isf = np.zeros(max_k, dtype=bool)
@@ -157,7 +168,7 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
             diag0 = W2_b[b_id]
             bnew = bg_full[b_id, beta]
         if k:
-            wvec = solve_triangular(L[:k, :k], gcol, lower=True, check_finite=False)
+            wvec = _solve_factor(U, k, gcol, trans=1)
             d2 = diag0 - float(wvec @ wvec)
         else:
             wvec = gcol
@@ -165,8 +176,8 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
         excluded[gidx] = True
         if d2 <= max(cfg.refit_tolerance * max(diag0, 1e-30), 1e-14):
             return False              # linearly dependent on the active set
-        L[k, :k] = wvec
-        L[k, k] = np.sqrt(d2)
+        U[:k, k] = wvec
+        U[k, k] = np.sqrt(d2)
         bvec[k] = bnew
         selected.append(gidx)
         if gidx < m_f:
@@ -186,8 +197,8 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
         y_f = np.zeros(m_f)
         y_g = np.zeros((n_blocks, m_g))
         if k:
-            z = solve_triangular(L[:k, :k], bvec[:k], lower=True, check_finite=False)
-            x = solve_triangular(L[:k, :k], z, lower=True, trans="T", check_finite=False)
+            z = _solve_factor(U, k, bvec[:k], trans=1)
+            x = _solve_factor(U, k, z, trans=0)
             fm = pos_isf[:k]
             y_f[pos_fidx[:k][fm]] = x[fm]
             y_g[pos_block[:k][~fm], pos_beta[:k][~fm]] = x[~fm]
@@ -226,7 +237,8 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
         wres = w2[:, None] * res_rows
         corr_f = A_f.analyze(wres.sum(axis=0))
         acc_g = np.zeros((n_blocks, n))
-        np.add.at(acc_g, block_of_row, wres)
+        for r, b in enumerate(block_of_row):   # np.add.at's order, without its overhead
+            acc_g[b] += wres[r]
         corr_g = A_g.analyze_batch(acc_g)
 
         scores = np.empty(total_cols)

@@ -7,8 +7,8 @@ rows; the resulting SPD system is solved by conjugate gradient.
 Inverse sub-steps: pointwise recovery of grad(log D) from three solutions of
 the same equation via the two-solution identity div(D u1^2 grad(u_j/u1)) = 0,
 followed by least-squares integration of the gradient field (an anchored
-Neumann-Poisson solve built on an exactly adjoint grad/div pair), and the
-averaged pointwise absorption formula mu = mean_i div(D grad u_i) / u_i.
+Neumann-Poisson solve built on the exactly adjoint grad/div pair of ``grid``),
+and the averaged pointwise absorption formula mu = mean_i div(D grad u_i) / u_i.
 
 Boundary traces are 1D vectors over the 4(d-1) boundary pixels, walked
 counterclockwise from pixel (row 0, col 0): bottom row left to right, right
@@ -25,7 +25,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConditioningError, DomainError, SolverError, ValidationError
-from .grid import Grid2
+from .grid import Grid2, div_adjoint, grad_forward
 
 _CG_RTOL = 1e-10
 
@@ -159,27 +159,7 @@ def solve_diffusion(p: DiffusionProblem) -> Grid2:
 
 
 # ---------------------------------------------------------------------------
-# Exactly adjoint gradient/divergence pair (used by the field integration)
-
-def grad_forward(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences on edges: gx (d, d-1) along x1, gy (d-1, d) along x2."""
-    gx = (w[:, 1:] - w[:, :-1]) / h
-    gy = (w[1:, :] - w[:-1, :]) / h
-    return gx, gy
-
-
-def div_adjoint(gx: np.ndarray, gy: np.ndarray, h: float) -> np.ndarray:
-    """Negative transpose of :func:`grad_forward`: <grad w, p> = -<w, div p>."""
-    d = gx.shape[0]
-    out = np.zeros((d, d))
-    out[:, 0] += gx[:, 0]
-    out[:, 1:-1] += gx[:, 1:] - gx[:, :-1]
-    out[:, -1] -= gx[:, -1]
-    out[0, :] += gy[0, :]
-    out[1:-1, :] += gy[1:, :] - gy[:-1, :]
-    out[-1, :] -= gy[-1, :]
-    return out / h
-
+# Field integration
 
 def integrate_gradient_field(
     f1: np.ndarray, f2: np.ndarray, anchor: tuple[tuple[int, int], float], h: float

@@ -18,7 +18,7 @@ the pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -373,10 +373,6 @@ class GammaVarResult:
     reports: tuple[OmpReport, ...]
 
 
-def _rel_l2(a: Grid2, b: Grid2) -> float:
-    return float(np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values))
-
-
 def _rel_l2_interior(a: Grid2, b: Grid2, band: int) -> float:
     sa = a.values[band:-band, band:-band] if band else a.values
     sb = b.values[band:-band, band:-band] if band else b.values
@@ -393,7 +389,8 @@ def reconstruct_gammavar(
     n_meas = p.N
     for idx in (*cfg.separation, *cfg.d_triple):
         if not 0 <= idx < n_meas:
-            raise ValidationError(f"measurement index {idx} out of range [0, {n_meas})")
+            raise ValidationError(f"measurement index {idx} out of range [0, {n_meas}) "
+                                  f"(separation={cfg.separation}, d_triple={cfg.d_triple})")
 
     ms = synthesize_data(p)
     h_img = [g.values for g in ms.h]
@@ -428,7 +425,7 @@ def reconstruct_gammavar(
     D_initial = D_cur
     mu_baseline = _mu_step(D_cur, u_initial, cfg)
 
-    mu_errors = [_rel_l2(mu_baseline, p.mu_true)]
+    mu_errors = [_rel_l2_interior(mu_baseline, p.mu_true, 0)]
     D_errors = [_rel_l2_interior(D_cur, p.D_true, cfg.boundary_band)]
     reports = [rep1]
     ratio_history: list[float] = []
@@ -470,7 +467,7 @@ def reconstruct_gammavar(
         mu_cur = _mu_step(D_cur, u_next, cfg)
         mu_final = mu_cur
         u_final = u_next
-        mu_errors.append(_rel_l2(mu_cur, p.mu_true))
+        mu_errors.append(_rel_l2_interior(mu_cur, p.mu_true, 0))
         D_errors.append(_rel_l2_interior(D_cur, p.D_true, cfg.boundary_band))
 
     return GammaVarResult(

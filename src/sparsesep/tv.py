@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid2
+from .grid import Grid2, div_adjoint, grad_forward
 
 
 @dataclass(frozen=True)
@@ -33,23 +33,17 @@ class TvConfig:
 
 
 def _grad(w: np.ndarray) -> np.ndarray:
-    """Forward differences with Neumann boundary (zero last row/col)."""
+    """Forward differences with Neumann boundary, zero-padded to (2, d, d)."""
+    gx, gy = grad_forward(w, 1.0)
     g = np.zeros((2,) + w.shape)
-    g[0, :-1, :] = w[1:, :] - w[:-1, :]
-    g[1, :, :-1] = w[:, 1:] - w[:, :-1]
+    g[0, :-1, :] = gy
+    g[1, :, :-1] = gx
     return g
 
 
 def _div(p: np.ndarray) -> np.ndarray:
-    """Negative adjoint of :func:`_grad`; columns of p sum to zero over pixels."""
-    out = np.zeros(p.shape[1:])
-    out[0, :] += p[0, 0, :]
-    out[1:-1, :] += p[0, 1:-1, :] - p[0, :-2, :]
-    out[-1, :] -= p[0, -2, :]
-    out[:, 0] += p[1, :, 0]
-    out[:, 1:-1] += p[1, :, 1:-1] - p[1, :, :-2]
-    out[:, -1] -= p[1, :, -2]
-    return out
+    """Negative adjoint of :func:`_grad`; sums to zero over pixels."""
+    return div_adjoint(p[1, :, :-1], p[0, :-1, :], 1.0)
 
 
 def total_variation(g: Grid2 | np.ndarray) -> float:

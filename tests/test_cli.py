@@ -181,3 +181,16 @@ def test_numerical_failure_maps_to_two(tmp_path, monkeypatch):
     code = run(["solve", "--diffusion", str(dpath), "--mu", str(mpath),
                 "--boundary", "gamma1:1", "--out", str(tmp_path / "u.rg2")])
     assert code == 2
+
+
+def test_qpat_gammavar_rejects_too_few_measurements(tmp_path, capsys):
+    # The pipeline separates measurements 0-2 and recovers D from 0, 3 and 4,
+    # so three illuminations must be refused before anything is written.
+    cfgp = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfgp.write_text(config_text(str(out_dir), n_measurements=3, noise_level=0.0,
+                                omp_iterations_step1=100, omp_iterations_step3=40,
+                                outer_iterations=1))
+    assert run(["qpat-gammavar", "--config", str(cfgp)]) == 1
+    assert "measurement index 3" in capsys.readouterr().err
+    assert not list(out_dir.glob("u_*.rg2"))

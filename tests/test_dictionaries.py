@@ -313,3 +313,32 @@ def test_concatenate():
     assert C.n == 8 and C.m == 16
     assert np.allclose(C.atom(3), identity(8).atom(3))
     assert np.allclose(C.atom(11), fourier1d(8).atom(3))
+
+
+def _random_unit_columns(n, m, seed):
+    M = np.random.default_rng(seed).standard_normal((n, m))
+    return M / np.linalg.norm(M, axis=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: haar2d(3),
+    lambda: sinusoid2d(8, 3, True),
+    lambda: identity(20),
+    lambda: fourier1d(16),
+    lambda: explicit(_random_unit_columns(12, 18, 4)),
+], ids=["haar2d", "sinusoid2d", "identity", "fourier1d", "explicit"])
+def test_batch_and_single_application_agree_with_dense(make):
+    D = make()
+    M = D.to_matrix()
+    assert M.shape == (D.n, D.m)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((4, D.n))
+    Y = rng.standard_normal((4, D.m))
+    analyzed = D.analyze_batch(X)
+    synthesized = D.synthesize_batch(Y)
+    assert analyzed.shape == (4, D.m) and synthesized.shape == (4, D.n)
+    for x, y, a, s in zip(X, Y, analyzed, synthesized):
+        assert np.abs(D.analyze(x) - a).max() < 1e-12
+        assert np.abs(D.synthesize(y) - s).max() < 1e-12
+    assert np.abs(analyzed - X @ M).max() < 1e-12
+    assert np.abs(synthesized - Y @ M.T).max() < 1e-12
