@@ -82,10 +82,7 @@ _CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (int, 0),
     "omp_iterations": (int, 1500),
     "omp_iterations_step1": (int, 2000),
-    "omp_iterations_step3": (int, 2000),
     "epsilon": (float, 0.0),
-    "lambda1": (float, 1.0),
-    "lambda2": (float, 10.0),
     "outer_iterations": (int, 2),
     "tv_weight": (float, 0.0),
     "boundary_band": (int, 4),
@@ -123,7 +120,7 @@ def parse_run_config(path: str) -> dict:
         cfg["J"] = d.bit_length() - 1
     elif 2 ** cfg["J"] != d:
         raise ValidationError(f"{path}: inconsistent J={cfg['J']} for d={d}")
-    for key in ("noise_level", "epsilon", "tv_weight", "lambda1", "lambda2"):
+    for key in ("noise_level", "epsilon", "tv_weight"):
         if cfg[key] < 0:
             raise ValidationError(f"{path}: {key} must be nonnegative")
     if not 1 <= cfg["n_measurements"] <= 5:
@@ -268,9 +265,6 @@ def _cmd_qpat_gammavar(args) -> int:
         mu0=ones,
         anchor=((d // 2, d // 2), float(D_true.values[d // 2, d // 2])),
         budget_step1=cfg["omp_iterations_step1"],
-        budget_step3=cfg["omp_iterations_step3"],
-        lambda1=cfg["lambda1"],
-        lambda2=cfg["lambda2"],
         outer_iterations=cfg["outer_iterations"],
         boundary_band=cfg["boundary_band"],
         tv_weight=cfg["tv_weight"] or None,
@@ -283,9 +277,10 @@ def _cmd_qpat_gammavar(args) -> int:
     write_rg2(os.path.join(out, "D.rg2"), res.D)
     for i, u in enumerate(res.u, start=1):
         write_rg2(os.path.join(out, f"u_{i}.rg2"), u)
-    rows = [("step1_mu", len(problem.H), res.mu_errors[0], float(res.reports[0].residuals[-1]))]
-    for it, (err, rep) in enumerate(zip(res.mu_errors[1:], res.reports[1:]), start=1):
-        rows.append((f"iter{it}_mu", len(problem.H), err, float(rep.residuals[-1])))
+    # The outer passes run no pursuit, so their rows carry no residual.
+    rows = [("step1_mu", len(problem.H), res.mu_errors[0], float(res.report.residuals[-1]))]
+    rows += [(f"iter{it}_mu", len(problem.H), err, 0.0)
+             for it, err in enumerate(res.mu_errors[1:], start=1)]
     rows.append(("final_D", len(problem.H), res.D_errors[-1], 0.0))
     _write_metrics(os.path.join(out, "metrics.csv"), rows)
     return 0

@@ -6,7 +6,7 @@ measurements h_i = f + g_i: one shared coefficient block y_f (its stacked
 column repeats the atom in every measurement row, column norm sqrt(N)) and a
 per-measurement block y_g^i.  ``omp_block_penalized`` additionally accepts
 weighted rows binding one extra shared g-block, which turns the solver into
-the lambda-weighted penalized form used by the variable-Gamma pipeline.
+a lambda-weighted penalized form; no pipeline calls it.
 
 The joint least-squares refit exploits the block structure of the stacked
 Gram matrix (diagonal within each dictionary because both atom sets are
@@ -325,6 +325,12 @@ def omp_block_penalized(
     simply mute the corresponding rows.  ``warm_start`` pre-seeds the active
     set with global column indices (typically the selection of a previous
     unweighted run, whose index space is a prefix of this one).
+
+    No pipeline calls this solver.  The variable-Gamma pipeline does not
+    re-separate against reference solutions with it: on its instances the
+    shared g-block receives no atoms at 64x64 and makes the diffusion
+    estimate worse at 128x128, because Haar sparsity cannot keep a smooth
+    Gamma out of the shared component.
     """
     if base_weight < 0:
         raise ValidationError("base_weight must be nonnegative")

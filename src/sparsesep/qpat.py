@@ -6,11 +6,14 @@ the per-illumination log-intensities with the block pursuit, exponentiate.
 Variable-Gamma pipeline: the shared part now carries log(Gamma*mu), which is
 not enough to identify mu, so the diffusion model is brought in.  After an
 initial separation (step 1) and a diffusion-coefficient recovery from a
-gradient-independent triple of measurements (step 2), the loop alternates:
-(3a) re-separate against reference solutions computed from the current
-coefficient iterates, forcing one shared ratio block across measurements,
-(3b) refresh the diffusion coefficient, (3c) refresh the absorption by the
-averaged pointwise formula.
+gradient-independent triple of measurements (step 2), each outer pass
+(3a) solves the forward problem with the current iterates (D, max(mu, 0)) for
+every illumination and takes those solutions as the intensities,
+(3b) refreshes the diffusion coefficient from the data ratios on the base
+solution, and (3c) refreshes the absorption by the averaged pointwise formula.
+No pass separates again: single-wavelength diffusive data do not determine
+D, mu and Gamma together (Bal & Ren 2011, Inverse Problems 27, 075003), and
+Haar sparsity cannot tell on which side a smooth Gamma belongs.
 
 Phantom value ranges are illustrative defaults; only positivity matters to
 the pipelines.
@@ -25,7 +28,7 @@ import numpy as np
 from .dictionaries import Dictionary
 from .errors import DomainError, ValidationError
 from .grid import Grid2, MeasurementSet, CoeffBlock, relative_log_error
-from .omp import OmpConfig, OmpReport, StackedSystem, omp_block, omp_block_penalized
+from .omp import OmpConfig, OmpReport, StackedSystem, omp_block
 from .pde import (
     DiffusionProblem,
     ratio_independence,
@@ -326,17 +329,18 @@ class GammaVarConfig:
     """Knobs of the three-step iterative pipeline.
 
     Measurement roles are index tuples into the problem's measurement list:
-    ``separation`` feeds steps (1) and (3a), ``d_triple`` (base solution
-    first) feeds the diffusion recoveries (2) and (3b); every measurement
-    feeds the absorption average (3c).
+    ``separation`` feeds step (1), ``d_triple`` (base solution first) feeds
+    the diffusion recoveries (2) and (3b); every measurement feeds the
+    absorption average (3c).  Each outer pass starts from forward solutions
+    of the current iterates and runs no pursuit, so ``budget_step3`` has no
+    effect; it is kept so that callers which pass it keep working.
+    ``boundary_band`` must satisfy 0 <= band < d/2.
     """
 
     mu0: Grid2
     anchor: tuple[tuple[int, int], float]
     budget_step1: int
-    budget_step3: int
-    lambda1: float = 1.0
-    lambda2: float = 10.0
+    budget_step3: int = 0
     outer_iterations: int = 2
     separation: tuple[int, ...] = (0, 1, 2)
     d_triple: tuple[int, int, int] = (0, 3, 4)
@@ -346,13 +350,8 @@ class GammaVarConfig:
     smooth_sigma: float = 1.0
     det_threshold: float = 1e-8
     initial_D: Grid2 | None = None      # warm start: skip the first diffusion recovery
-    warm_start_step3: bool = True       # reuse the previous active set in each re-separation
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValidationError("lambda weights must be positive")
-        if self.lambda1 >= self.lambda2:
-            raise ValidationError("expected lambda1 < lambda2")
         if self.outer_iterations < 0:
             raise ValidationError("outer_iterations must be nonnegative")
 
@@ -360,7 +359,8 @@ class GammaVarConfig:
 @dataclass(frozen=True)
 class GammaVarResult:
     """Iterates and diagnostics; errors are relative L2 against the truth
-    (interior only for D, boundary band excluded)."""
+    (interior only for D, boundary band excluded).  ``report`` is that of the
+    step-1 separation, the only pursuit the pipeline runs."""
 
     mu: Grid2
     D: Grid2
@@ -370,7 +370,7 @@ class GammaVarResult:
     ratio_history: tuple[float, ...]
     mu_errors: tuple[float, ...]
     D_errors: tuple[float, ...]
-    reports: tuple[OmpReport, ...]
+    report: OmpReport
 
 
 def _rel_l2_interior(a: Grid2, b: Grid2, band: int) -> float:
@@ -391,6 +391,9 @@ def reconstruct_gammavar(
         if not 0 <= idx < n_meas:
             raise ValidationError(f"measurement index {idx} out of range [0, {n_meas}) "
                                   f"(separation={cfg.separation}, d_triple={cfg.d_triple})")
+    if not 0 <= 2 * cfg.boundary_band < d:
+        raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
+                              f"got {cfg.boundary_band}")
 
     ms = synthesize_data(p)
     h_img = [g.values for g in ms.h]
@@ -404,7 +407,7 @@ def reconstruct_gammavar(
     sys1 = StackedSystem(A_f, A_g, tuple(h_img[i].ravel() for i in sep))
     block1, rep1 = omp_block(sys1, OmpConfig(max_iterations=cfg.budget_step1))
     f_log = A_f.synthesize(block1.y_f).reshape(d, d)
-    u_cur: dict[int, Grid2] = {i: Grid2(np.exp(h_img[i] - f_log)) for i in range(n_meas)}
+    u_initial = tuple(Grid2(np.exp(h - f_log)) for h in h_img)
 
     def diffusion_from_base(u_base: Grid2) -> Grid2:
         # The measurement ratios u_j/u_base are exact data (the shared factor
@@ -420,53 +423,35 @@ def reconstruct_gammavar(
     if cfg.initial_D is not None:
         D_cur = cfg.initial_D
     else:
-        D_cur = diffusion_from_base(u_cur[ta])
-    u_initial = tuple(u_cur[i] for i in range(n_meas))
+        D_cur = diffusion_from_base(u_initial[ta])
     D_initial = D_cur
     mu_baseline = _mu_step(D_cur, u_initial, cfg)
 
     mu_errors = [_rel_l2_interior(mu_baseline, p.mu_true, 0)]
     D_errors = [_rel_l2_interior(D_cur, p.D_true, cfg.boundary_band)]
-    reports = [rep1]
+    u_separated = [u_initial[i] for i in sep]
     ratio_history: list[float] = []
 
     mu_cur = cfg.mu0
     mu_final = mu_baseline
     u_final = u_initial
-    shared_lo = A_f.m + len(sep) * A_g.m      # shared-ratio block lives past this index
-    prev_selected = rep1.selected
     for _ in range(cfg.outer_iterations):
-        # (3a) reference solutions for the current iterates, then a joint
-        # separation forcing one shared ratio block across measurements.
+        # (3a) forward solutions for the current iterates become the intensities.
         mu_pde = Grid2(np.maximum(mu_cur.values, 0.0))
-        u0k = []
-        for i in range(n_meas):
-            u = solve_diffusion(DiffusionProblem(D_cur, mu_pde, p.phis[i]))
+        u_next = []
+        for phi in p.phis:
+            u = solve_diffusion(DiffusionProblem(D_cur, mu_pde, phi))
             if np.any(u.values <= 0):
-                raise DomainError("reference solution lost positivity")
-            u0k.append(u)
-        h0_rows = [(cfg.lambda2, (h_img[i] - np.log(u0k[i].values)).ravel()) for i in sep]
-        # Warm-starting with the previous f and per-measurement atoms keeps
-        # the shared-ratio block from absorbing smooth content that belongs
-        # to the common component; the stale ratio atoms are dropped.
-        warm = [int(a) for a in prev_selected if a < shared_lo] if cfg.warm_start_step3 else None
-        block, rep = omp_block_penalized(
-            sys1, OmpConfig(max_iterations=cfg.budget_step3), h0_rows,
-            base_weight=cfg.lambda1, warm_start=warm)
-        reports.append(rep)
-        prev_selected = rep.selected
-        f_log = A_f.synthesize(block.y_f).reshape(d, d)
-        v = np.exp(A_g.synthesize(block.y_g[-1]).reshape(d, d))
-        u_next = tuple(Grid2(u0k[i].values * v) for i in range(n_meas))
-        ratio_history.append(ratio_independence(
-            [Grid2(np.exp(h_img[i] - f_log)) for i in sep], [u0k[i] for i in sep]))
+                raise DomainError("forward solution lost positivity")
+            u_next.append(u)
+        ratio_history.append(ratio_independence(u_separated, [u_next[i] for i in sep]))
 
         # (3b) refresh the diffusion coefficient from the smooth iterate level.
         D_cur = diffusion_from_base(u_next[ta])
         # (3c) refresh the absorption.
         mu_cur = _mu_step(D_cur, u_next, cfg)
         mu_final = mu_cur
-        u_final = u_next
+        u_final = tuple(u_next)
         mu_errors.append(_rel_l2_interior(mu_cur, p.mu_true, 0))
         D_errors.append(_rel_l2_interior(D_cur, p.D_true, cfg.boundary_band))
 
@@ -479,7 +464,7 @@ def reconstruct_gammavar(
         ratio_history=tuple(ratio_history),
         mu_errors=tuple(mu_errors),
         D_errors=tuple(D_errors),
-        reports=tuple(reports),
+        report=rep1,
     )
 
 

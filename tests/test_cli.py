@@ -150,6 +150,16 @@ def test_config_rejects_unknown_key(tmp_path):
     assert run(["qpat-gamma1", "--config", str(cfgp)]) == 1
 
 
+@pytest.mark.parametrize("key", ["lambda1", "lambda2", "omp_iterations_step3"])
+def test_config_rejects_removed_step3_keys(tmp_path, capsys, key):
+    cfgp = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfgp.write_text(config_text(str(out_dir), n_measurements=5, **{key: 1}))
+    assert run(["qpat-gammavar", "--config", str(cfgp)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_config_validates_ranges(tmp_path):
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text(config_text(str(tmp_path), d=100))
@@ -189,8 +199,38 @@ def test_qpat_gammavar_rejects_too_few_measurements(tmp_path, capsys):
     cfgp = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
     cfgp.write_text(config_text(str(out_dir), n_measurements=3, noise_level=0.0,
-                                omp_iterations_step1=100, omp_iterations_step3=40,
-                                outer_iterations=1))
+                                omp_iterations_step1=100, outer_iterations=1))
     assert run(["qpat-gammavar", "--config", str(cfgp)]) == 1
     assert "measurement index 3" in capsys.readouterr().err
     assert not list(out_dir.glob("u_*.rg2"))
+
+
+def test_qpat_gammavar_writes_outputs_and_one_row_per_pass(tmp_path):
+    cfgp = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfgp.write_text(config_text(str(out_dir), n_measurements=5, noise_level=0.0,
+                                omp_iterations_step1=100, outer_iterations=2))
+    assert run(["qpat-gammavar", "--config", str(cfgp)]) == 0
+    lines = (out_dir / "metrics.csv").read_text().strip().splitlines()
+    assert lines[0] == "stage,N,error,residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["step1_mu", "iter1_mu", "iter2_mu", "final_D"]
+    assert all(r[1] == "5" for r in rows)
+    # only step 1 runs a pursuit, so only its row carries a residual
+    assert float(rows[0][3]) > 0
+    assert [r[3] for r in rows[1:]] == ["0.0", "0.0", "0.0"]
+    names = ["mu", "mu_baseline", "D"] + [f"u_{i}" for i in range(1, 6)]
+    for name in names:
+        assert read_rg2(str(out_dir / f"{name}.rg2")).side == 32
+
+
+@pytest.mark.parametrize("band", [-2, 16, 40])
+def test_qpat_gammavar_rejects_bad_boundary_band(tmp_path, capsys, band):
+    cfgp = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfgp.write_text(config_text(str(out_dir), n_measurements=5, noise_level=0.0,
+                                omp_iterations_step1=100, outer_iterations=1,
+                                boundary_band=band))
+    assert run(["qpat-gammavar", "--config", str(cfgp)]) == 1
+    assert "boundary_band" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -5,7 +7,7 @@ from scipy import ndimage
 from sparsesep.dictionaries import haar2d, sinusoid2d
 from sparsesep.errors import DomainError, ValidationError
 from sparsesep.grid import Grid2
-from sparsesep.pde import ring_length, trace_from_function
+from sparsesep.pde import DiffusionProblem, ring_length, solve_diffusion, trace_from_function
 from sparsesep.qpat import (
     GammaVarConfig,
     boundary_family,
@@ -234,7 +236,35 @@ def test_gammavar_zero_outer_iterations_returns_baseline():
 def test_gammavar_config_validation():
     with pytest.raises(ValidationError):
         GammaVarConfig(mu0=ones(8), anchor=((0, 0), 1.0), budget_step1=10,
-                       budget_step3=10, lambda1=2.0, lambda2=1.0)
-    with pytest.raises(ValidationError):
-        GammaVarConfig(mu0=ones(8), anchor=((0, 0), 1.0), budget_step1=10,
                        budget_step3=10, outer_iterations=-1)
+
+
+def test_gammavar_outer_pass_takes_forward_solutions():
+    # one pass: the intensities are the forward solutions of (D_initial, mu0)
+    p, cfg, mu, D_true = gammavar_setup()
+    cfg = replace(cfg, outer_iterations=1)
+    res = reconstruct_gammavar(p, (haar2d(5), sinusoid2d(D32, 4, True)), cfg)
+    mu_pde = Grid2(np.maximum(cfg.mu0.values, 0.0))
+    assert len(res.u) == len(p.phis)
+    for u, phi in zip(res.u, p.phis):
+        ref = solve_diffusion(DiffusionProblem(res.D_initial, mu_pde, phi))
+        assert np.array_equal(u.values, ref.values)
+
+
+def test_gammavar_budget_step3_has_no_effect():
+    p, cfg, mu, D_true = gammavar_setup()
+    dicts = (haar2d(5), sinusoid2d(D32, 4, True))
+    r1 = reconstruct_gammavar(p, dicts, replace(cfg, outer_iterations=1))
+    r2 = reconstruct_gammavar(p, dicts, replace(cfg, outer_iterations=1, budget_step3=7))
+    assert np.array_equal(r1.mu.values, r2.mu.values)
+    assert np.array_equal(r1.D.values, r2.D.values)
+    for a, b in zip(r1.u, r2.u, strict=True):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("band", [-2, 16, 40])
+def test_gammavar_rejects_boundary_band_outside_half_side(band):
+    p, cfg, mu, D_true = gammavar_setup()
+    with pytest.raises(ValidationError, match="boundary_band"):
+        reconstruct_gammavar(p, (haar2d(5), sinusoid2d(D32, 4, True)),
+                             replace(cfg, boundary_band=band))
