@@ -232,7 +232,6 @@ def _cmd_qpat_gamma1(args) -> int:
     A_f = dicts.haar2d(cfg["J"])
     A_g = dicts.sinusoid2d(d, cfg["L"], bool(cfg["include_constant"]))
     tv_weight = cfg["tv_weight"] or None
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     rows = []
     for n in range(1, cfg["n_measurements"] + 1):
         res = qpat.reconstruct_gamma1(ms.subset(n), (A_f, A_g), cfg["omp_iterations"],
@@ -241,6 +240,7 @@ def _cmd_qpat_gamma1(args) -> int:
                                       boundary_values=phis[:n])
         rows.append(("gamma1", n, res.error, float(res.report.residuals[-1])))
         if n == cfg["n_measurements"]:
+            os.makedirs(cfg["out_dir"], exist_ok=True)
             write_rg2(os.path.join(cfg["out_dir"], "mu.rg2"), res.mu)
             for i, u in enumerate(res.u, start=1):
                 write_rg2(os.path.join(cfg["out_dir"], f"u_{i}.rg2"), u)
@@ -399,6 +399,9 @@ def run(argv=None) -> int:
         return 1
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

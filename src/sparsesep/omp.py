@@ -8,12 +8,19 @@ per-measurement block y_g^i.  ``omp_block_penalized`` additionally accepts
 weighted rows binding one extra shared g-block, which turns the solver into
 a lambda-weighted penalized form; no pipeline calls it.
 
-The joint least-squares refit exploits the block structure of the stacked
-Gram matrix (diagonal within each dictionary because both atom sets are
-orthonormal, dense only across the f/g boundary) and maintains a Cholesky
-factor extended by one column per selected atom, so every iterate is the exact
-least-squares fit on the active set.  All dictionary applications go through
-the fast transforms; the stacked matrix is never materialized.
+Every iterate is the exact least-squares fit on the active set.  Both atom
+sets are orthonormal, so the weighted Gram matrix of the active columns is
+[[W2 I, B], [B^T, diag(omega)]]: a multiple of the identity on the f block,
+diagonal on the g block, dense only across the f/g boundary.  The refit
+eliminates the f block and keeps the inverse of its Schur complement
+S = diag(omega) - B^T B / W2 explicitly, a k_g x k_g matrix over the active
+g atoms alone.  A new f atom updates S^-1 by Sherman-Morrison, a new g atom
+borders it; each costs O(k_g^2), and its pivot (the new atom's Schur
+complement against the active set) is tested against ``refit_tolerance``, so
+a dependent atom is rejected instead of making the system singular.  The
+buffers grow geometrically with the active set, not with the budget.  All
+dictionary applications go through the fast transforms; the stacked matrix
+is never materialized.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dspmv, dspr
 
 from .dictionaries import Dictionary
 from .errors import ValidationError
@@ -80,16 +86,6 @@ class StackedSystem:
         return len(self.h)
 
 
-def _solve_factor(U: np.ndarray, k: int, rhs: np.ndarray, trans: int) -> np.ndarray:
-    """Solve U_k x = rhs (trans=0) or U_k^T x = rhs (trans=1) for the leading
-    k x k block of the upper factor U, stored in Fortran order so the block is
-    passed to LAPACK in place (leading dimension U.shape[0]), without a copy."""
-    x, info = dtrtrs(U[:, :k], rhs, lower=0, trans=trans)
-    if info:
-        raise LinAlgError(f"singular factor: trtrs returned info={info}")
-    return x
-
-
 @dataclass(frozen=True)
 class OmpReport:
     """Per-run diagnostics: stacked residual history (entry 0 is the initial
@@ -101,6 +97,116 @@ class OmpReport:
     iterations: int
     stop_reason: str
     selected: np.ndarray
+
+
+def _grow(arr: np.ndarray, need: int) -> np.ndarray:
+    """``arr`` if it holds ``need`` rows, else a copy with room for at least
+    twice as many, so buffers grow geometrically with the active set."""
+    if len(arr) >= need:
+        return arr
+    out = np.zeros((max(need, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
+
+
+class _SchurRefit:
+    """Exact least-squares refit of the active set through the Schur
+    complement of its f block.
+
+    Active f atoms carry their cross rows x = A_g^T a (the rows of X_F) and
+    right-hand sides b_F; active g atoms carry (block, beta), their weight
+    omega = W2_b and b_G.  Eliminating the f block from the normal equations
+    [[W2 I, B], [B^T, diag(omega)]] with B = X_F[:, beta] * omega leaves
+    S = diag(omega) - B^T B / W2, of the size of the g block; S^-1 is kept
+    explicitly, packed (upper triangle by columns), so that bordering it
+    appends a column and moves nothing.  With t = X_F^T b_F maintained per
+    f atom, y_G = S^-1 (b_G - omega * t[beta] / W2) and
+    y_F = (b_F - X_F v) / W2, v = bincount(beta, omega * y_G).  A new f atom
+    updates S^-1 by Sherman-Morrison; a new g atom borders it, with its
+    column of S taken from X_F^T X_F[:, beta].  Each pivot (the Schur
+    complement of a new atom against the active set) is tested against
+    ``tolerance``.
+    """
+
+    def __init__(self, W2: float, m_f: int, m_g: int, n_blocks: int, tolerance: float):
+        self.W2, self.tolerance = W2, tolerance
+        self.m_f, self.m_g, self.n_blocks = m_f, m_g, n_blocks
+        self.n_f = self.n_g = 0
+        self.cross = np.zeros((16, m_g))            # X_F
+        self.f_index = np.zeros(16, dtype=int)
+        self.f_rhs = np.zeros(16)
+        self.g_block = np.zeros(16, dtype=int)
+        self.g_beta = np.zeros(16, dtype=int)
+        self.g_omega = np.zeros(16)
+        self.g_rhs = np.zeros(16)
+        self.sinv = np.zeros(16 * 17 // 2)          # S^-1, packed upper
+        self.t = np.zeros(m_g)
+
+    def _dependent(self, pivot: float, diag: float) -> bool:
+        return pivot <= max(self.tolerance * max(diag, 1e-30), 1e-14)
+
+    def _sinv_times(self, vec: np.ndarray) -> np.ndarray:
+        k = self.n_g
+        return dspmv(k, 1.0, self.sinv[:k * (k + 1) // 2], vec) if k else np.zeros(0)
+
+    def add_f(self, index: int, x: np.ndarray, rhs: float) -> bool:
+        """Append an f atom with cross row x (Sherman-Morrison on S^-1);
+        False if it depends on the active set."""
+        k = self.n_g
+        u = self.g_omega[:k] * x[self.g_beta[:k]]
+        z = self._sinv_times(u)
+        pivot = self.W2 - float(u @ z)
+        if self._dependent(pivot, self.W2):
+            return False
+        if k:
+            dspr(k, 1.0 / pivot, z, self.sinv[:k * (k + 1) // 2], overwrite_ap=True)
+        self.t += rhs * x
+        n = self.n_f
+        self.cross = _grow(self.cross, n + 1)
+        self.f_index = _grow(self.f_index, n + 1)
+        self.f_rhs = _grow(self.f_rhs, n + 1)
+        self.cross[n] = x
+        self.f_index[n] = index
+        self.f_rhs[n] = rhs
+        self.n_f = n + 1
+        return True
+
+    def add_g(self, block: int, beta: int, omega: float, rhs: float) -> bool:
+        """Append a g atom (bordering S^-1); False if it depends on the
+        active set."""
+        k = self.n_g
+        X = self.cross[:self.n_f]
+        col = X.T @ X[:, beta]
+        s = col[self.g_beta[:k]] * self.g_omega[:k] * (-omega / self.W2)
+        z = self._sinv_times(s)
+        pivot = omega - omega * omega * col[beta] / self.W2 - float(s @ z)
+        if self._dependent(pivot, omega):
+            return False
+        # [[S, s], [s^T, sigma]]^-1 = [[S^-1, 0], [0, 0]] + [z; -1][z; -1]^T / pivot
+        size = (k + 1) * (k + 2) // 2
+        self.sinv = _grow(self.sinv, size)
+        self.sinv[k * (k + 1) // 2:size] = 0.0
+        dspr(k + 1, 1.0 / pivot, np.append(z, -1.0), self.sinv[:size], overwrite_ap=True)
+        self.g_block = _grow(self.g_block, k + 1)
+        self.g_beta = _grow(self.g_beta, k + 1)
+        self.g_omega = _grow(self.g_omega, k + 1)
+        self.g_rhs = _grow(self.g_rhs, k + 1)
+        self.g_block[k], self.g_beta[k] = block, beta
+        self.g_omega[k], self.g_rhs[k] = omega, rhs
+        self.n_g = k + 1
+        return True
+
+    def solve(self):
+        """Coefficients of the exact fit: y_f (m_f,) and y_g (n_blocks, m_g)."""
+        k, n = self.n_g, self.n_f
+        beta, omega = self.g_beta[:k], self.g_omega[:k]
+        y_G = self._sinv_times(self.g_rhs[:k] - omega * self.t[beta] / self.W2)
+        v = np.bincount(beta, weights=omega * y_G, minlength=self.m_g)
+        y_f = np.zeros(self.m_f)
+        y_f[self.f_index[:n]] = (self.f_rhs[:n] - self.cross[:n] @ v) / self.W2
+        y_g = np.zeros((self.n_blocks, self.m_g))
+        y_g[self.g_block[:k], beta] = y_G
+        return y_f, y_g
 
 
 def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: OmpConfig,
@@ -139,79 +245,30 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
     forced = [int(i) for i in (forced or [])]
     total_cols = m_f + n_blocks * m_g
     max_k = min(len(forced) + cfg.max_iterations, m_f + int(live_g.sum()) * m_g)
-    U = np.zeros((max_k, max_k), order="F")   # Cholesky factor, upper: Gram = U^T U
-    bvec = np.zeros(max_k)
-    cross_f = np.zeros((max_k, m_g))        # analysis of each active f atom in A_g
-    pos_isf = np.zeros(max_k, dtype=bool)
-    pos_block = np.full(max_k, -1, dtype=int)
-    pos_beta = np.full(max_k, -1, dtype=int)
-    pos_fidx = np.full(max_k, -1, dtype=int)
-    pos_crossrow = np.full(max_k, -1, dtype=int)
+    active = _SchurRefit(W2, m_f, m_g, n_blocks, cfg.refit_tolerance)
     excluded = np.zeros(total_cols, dtype=bool)
     selected: list[int] = []
-    state = {"k": 0, "n_f": 0}
 
     def append_atom(gidx: int) -> bool:
-        """Extend the Cholesky factor by one column; False if dependent."""
-        k = state["k"]
-        gcol = np.zeros(k)
+        """Add one atom to the active set; False if it is dependent."""
+        excluded[gidx] = True
         if gidx < m_f:
-            c_new = A_g.analyze(A_f.atom(gidx))
-            gmask = ~pos_isf[:k]
-            gcol[gmask] = W2_b[pos_block[:k][gmask]] * c_new[pos_beta[:k][gmask]]
-            diag0 = W2
-            bnew = bf_full[gidx]
+            ok = active.add_f(gidx, A_g.analyze(A_f.atom(gidx)), bf_full[gidx])
         else:
             b_id, beta = divmod(gidx - m_f, m_g)
-            fmask = pos_isf[:k]
-            gcol[fmask] = W2_b[b_id] * cross_f[pos_crossrow[:k][fmask], beta]
-            diag0 = W2_b[b_id]
-            bnew = bg_full[b_id, beta]
-        if k:
-            wvec = _solve_factor(U, k, gcol, trans=1)
-            d2 = diag0 - float(wvec @ wvec)
-        else:
-            wvec = gcol
-            d2 = diag0
-        excluded[gidx] = True
-        if d2 <= max(cfg.refit_tolerance * max(diag0, 1e-30), 1e-14):
-            return False              # linearly dependent on the active set
-        U[:k, k] = wvec
-        U[k, k] = np.sqrt(d2)
-        bvec[k] = bnew
-        selected.append(gidx)
-        if gidx < m_f:
-            pos_isf[k] = True
-            pos_fidx[k] = gidx
-            pos_crossrow[k] = state["n_f"]
-            cross_f[state["n_f"]] = c_new
-            state["n_f"] += 1
-        else:
-            pos_block[k] = b_id
-            pos_beta[k] = beta
-        state["k"] = k + 1
-        return True
-
-    def refit():
-        k = state["k"]
-        y_f = np.zeros(m_f)
-        y_g = np.zeros((n_blocks, m_g))
-        if k:
-            z = _solve_factor(U, k, bvec[:k], trans=1)
-            x = _solve_factor(U, k, z, trans=0)
-            fm = pos_isf[:k]
-            y_f[pos_fidx[:k][fm]] = x[fm]
-            y_g[pos_block[:k][~fm], pos_beta[:k][~fm]] = x[~fm]
-        return y_f, y_g
+            ok = active.add_g(b_id, beta, W2_b[b_id], bg_full[b_id, beta])
+        if ok:
+            selected.append(gidx)
+        return ok
 
     for gidx in forced:
         if not 0 <= gidx < total_cols:
             raise ValidationError(f"warm-start index {gidx} out of range [0, {total_cols})")
         if not excluded[gidx]:
             append_atom(gidx)
-    n_forced = state["k"]
+    n_forced = len(selected)
 
-    y_f, y_g = refit()
+    y_f, y_g = active.solve()
     stall_tol = 0.0
     residuals = []
     res_rows = data.copy()
@@ -219,7 +276,7 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
 
     while True:
         # Residual per row from the current exact refit.
-        f_img = A_f.synthesize(y_f) if state["n_f"] else np.zeros(n)
+        f_img = A_f.synthesize(y_f) if active.n_f else np.zeros(n)
         g_imgs = A_g.synthesize_batch(y_g)
         res_rows = data - f_img[None, :] - g_imgs[block_of_row]
         row_norms = np.linalg.norm(res_rows, axis=1)
@@ -230,7 +287,7 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
         if cfg.residual_target > 0 and stacked <= cfg.residual_target:
             stop_reason = "residual"
             break
-        if state["k"] - n_forced >= cfg.max_iterations or state["k"] >= max_k:
+        if len(selected) - n_forced >= cfg.max_iterations or len(selected) >= max_k:
             stop_reason = "max_iterations"
             break
 
@@ -253,12 +310,12 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
             stop_reason = "stalled"
             break
         if append_atom(gidx):
-            y_f, y_g = refit()
+            y_f, y_g = active.solve()
 
     report = OmpReport(
         residuals=np.array(residuals),
         per_row_residuals=np.linalg.norm(res_rows, axis=1),
-        iterations=state["k"] - n_forced,
+        iterations=len(selected) - n_forced,
         stop_reason=stop_reason,
         selected=np.array(selected, dtype=int),
     )

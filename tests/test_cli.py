@@ -193,6 +193,31 @@ def test_numerical_failure_maps_to_two(tmp_path, monkeypatch):
     assert code == 2
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.00 GiB for an array with shape (16384, 16384)")
+
+
+@pytest.mark.parametrize("command", ["separate", "qpat-gamma1", "qpat-gammavar"])
+def test_out_of_memory_maps_to_two_without_output(tmp_path, capsys, monkeypatch, command):
+    out_dir = tmp_path / "out"
+    if command == "separate":
+        monkeypatch.setattr(cli, "omp_block", _out_of_memory)
+        h = tmp_path / "h.rg2"
+        write_rg2(str(h), Grid2(np.ones((16, 16))))
+        argv = ["separate", str(h), "--dict-f", "haar2d:J=4", "--dict-g", "sinusoid2d:d=16,L=3",
+                "--out-dir", str(out_dir)]
+    else:
+        monkeypatch.setattr(cli.qpat, command.replace("qpat-", "reconstruct_"), _out_of_memory)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(config_text(str(out_dir), n_measurements=5))
+        argv = [command, "--config", str(cfgp)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 2.00 GiB")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_qpat_gammavar_rejects_too_few_measurements(tmp_path, capsys):
     # The pipeline separates measurements 0-2 and recovers D from 0, 3 and 4,
     # so three illuminations must be refused before anything is written.

@@ -123,6 +123,16 @@ def test_haar_fast_agrees_with_dense_application():
         assert np.abs(D.synthesize(y) - ref @ y).max() < 1e-10
 
 
+@pytest.mark.parametrize("J", [2, 3, 4, 5, 6])
+def test_haar_closed_form_atom_is_synthesis_of_basis_vector(J):
+    D = haar2d(J)
+    for k in range(D.m):
+        e = np.zeros(D.m)
+        e[k] = 1.0
+        ref, atom = D.synthesize(e), D.atom(k)
+        assert np.array_equal(atom, ref) and np.array_equal(np.signbit(atom), np.signbit(ref)), k
+
+
 def test_haar_coarsest_constant_atom_value():
     # the constant-family atom at the coarsest scale holds 2^-(J-1) on its block
     J = 5

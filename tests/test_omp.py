@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparsesep.dictionaries import concatenate, fourier1d, haar2d, identity, sinusoid2d
+from sparsesep.dictionaries import concatenate, explicit, fourier1d, haar2d, identity, sinusoid2d
 from sparsesep.grid import ZERO_TOL, l0_norm
 from sparsesep.omp import (
     OmpConfig,
@@ -233,6 +235,112 @@ def test_penalized_recovers_shared_ratio_block():
     for i in range(N):
         assert 2 + i in support(pen.y_g[i])
     assert support(pen.y_f) == {3, 17}
+
+
+# ---------------------------------------------------------------------------
+# the Schur-complement refit
+
+def _dense_stacked(A_f, A_g, rows, n_blocks):
+    """The weighted stacked matrix and right-hand side, materialized."""
+    Mf, Mg = A_f.to_matrix(), A_g.to_matrix()
+    blocks = [np.hstack([w * Mf] + [w * Mg if j == b else np.zeros_like(Mg) for j in range(n_blocks)])
+              for w, _, b in rows]
+    return np.vstack(blocks), np.concatenate([w * h for w, h, _ in rows])
+
+
+def _random_orthonormal(n):
+    q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((n, n)))
+    return explicit(q)
+
+
+@pytest.mark.parametrize("make_f", [lambda: haar2d(3), lambda: _random_orthonormal(64)],
+                         ids=["haar2d", "explicit"])
+def test_penalized_coefficients_equal_dense_weighted_lstsq(make_f):
+    # unequal row weights, a zero-weight row and forced atoms in f, in two
+    # measurement blocks and in the shared block
+    rng = np.random.default_rng(11)
+    A_f, A_g = make_f(), sinusoid2d(8, 2)
+    N, m_f, m_g = 3, A_f.m, A_g.m
+    sys = StackedSystem(A_f, A_g, tuple(rng.standard_normal(64) for _ in range(N)))
+    extra = [(1.7, rng.standard_normal(64)), (0.0, rng.standard_normal(64)), (0.4, rng.standard_normal(64))]
+    warm = [3, 40, m_f + 5, m_f + 2 * m_g + 7, m_f + N * m_g + 1]
+    block, report = omp_block_penalized(sys, OmpConfig(25), extra, base_weight=0.6, warm_start=warm)
+    assert report.selected[:5].tolist() == warm and report.iterations == 25
+    rows = [(0.6, h, i) for i, h in enumerate(sys.h)] + [(w, h, N) for w, h in extra]
+    M, rhs = _dense_stacked(A_f, A_g, rows, N + 1)
+    x, *_ = np.linalg.lstsq(M[:, report.selected], rhs, rcond=None)
+    expected = np.zeros(M.shape[1])
+    expected[report.selected] = x
+    assert np.abs(block.stacked() - expected).max() <= 1e-10
+
+
+def test_dependent_constant_atom_is_rejected():
+    # The four coarsest Haar atoms sum to a constant, and so do the constant
+    # sinusoids of the two blocks: with both constants forced first, the
+    # fourth coarse Haar atom is dependent.
+    A_f, A_g = haar2d(3), sinusoid2d(8, 2, include_constant=True)
+    m_f, m_g = A_f.m, A_g.m
+    const = m_g - 1
+    h = (np.full(64, 1.5), np.full(64, -0.5))
+    sys = StackedSystem(A_f, A_g, h)
+    warm = [m_f + const, m_f + m_g + const, 60, 61, 62, 63]
+    block, report = omp_block_penalized(sys, OmpConfig(10), [], warm_start=warm)
+    assert report.selected.tolist() == warm[:5]
+    assert report.iterations == 0 and report.stop_reason == "stalled"
+    assert report.residuals[-1] < 1e-12
+    # A longer pursuit on data with a random part exhausts the independent
+    # columns (64 + 25 of 114) and stops without a singular active set.
+    rng = np.random.default_rng(13)
+    h = tuple(c + A_f.synthesize(rng.standard_normal(m_f)) for c in h)
+    block, report = omp_block(StackedSystem(A_f, A_g, h), OmpConfig(200))
+    M, rhs = _dense_stacked(A_f, A_g, [(1.0, v, i) for i, v in enumerate(h)], 2)
+    cols = M[:, report.selected]
+    assert report.stop_reason in ("stalled", "max_iterations")
+    assert len(report.selected) <= 64 + 25
+    assert np.linalg.matrix_rank(cols) == len(report.selected)
+    x, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+    assert np.abs(block.stacked()[report.selected] - x).max() <= 1e-10
+
+
+def test_forced_atom_in_zero_weight_block_is_rejected_and_not_counted():
+    rng = np.random.default_rng(14)
+    sys = _random_system(rng, N=2)
+    m_f, m_g = sys.A_f.m, sys.A_g.m
+    shared = m_f + 2 * m_g + 3
+    pen, report = omp_block_penalized(sys, OmpConfig(6), [(0.0, sys.h[0])], warm_start=[shared, 5])
+    assert shared not in report.selected.tolist()
+    assert report.selected[0] == 5
+    assert report.iterations == 6 and len(report.selected) == 7
+    assert support(pen.y_g[-1]) == set()
+
+
+def test_pursuit_memory_follows_work_not_budget():
+    # 40 Haar atoms shared, 10 sinusoids per measurement: the pursuit stops
+    # on its residual target after 70 iterations whatever the budget.
+    rng = np.random.default_rng(12)
+    A_f, A_g = haar2d(5), sinusoid2d(32, 8, True)
+
+    def sparse(m, k):
+        y = np.zeros(m)
+        y[rng.choice(m, k, replace=False)] = rng.choice([-1.0, 1.0], k) * (1 + rng.random(k))
+        return y
+
+    shared = A_f.synthesize(sparse(A_f.m, 40))
+    sys = StackedSystem(A_f, A_g, tuple(shared + A_g.synthesize(sparse(A_g.m, 10)) for _ in range(3)))
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            _, report = omp_block(sys, OmpConfig(budget, residual_target=1e-8 * np.sqrt(3)))
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    small, r_small = peak(200)
+    large, r_large = peak(10 ** 6)
+    assert r_small.stop_reason == r_large.stop_reason == "residual"
+    assert r_small.iterations == r_large.iterations == 70
+    assert large <= 1.5 * small
 
 
 def test_config_validation():
