@@ -49,23 +49,26 @@ def parse_dict_spec(spec: str) -> dicts.Dictionary:
             key, _, value = pair.partition("=")
             if not value:
                 raise ValidationError(f"malformed dictionary parameter {pair!r} in {spec!r}")
+            if key.strip() in params:
+                raise ValidationError(f"duplicate dictionary parameter {key.strip()!r} in {spec!r}")
             try:
                 params[key.strip()] = int(value)
             except ValueError as exc:
                 raise ValidationError(f"non-integer dictionary parameter {pair!r}") from exc
     try:
         if kind == "haar2d":
-            return dicts.haar2d(params.pop("J"))
-        if kind == "sinusoid2d":
-            return dicts.sinusoid2d(params.pop("d"), params.pop("L"),
-                                    bool(params.pop("constant", 0)))
-        if kind == "identity":
-            return dicts.identity(params.pop("n"))
-        if kind == "fourier1d":
-            return dicts.fourier1d(params.pop("n"))
+            D = dicts.haar2d(params.pop("J"))
+        elif kind == "sinusoid2d":
+            D = dicts.sinusoid2d(params.pop("d"), params.pop("L"), bool(params.pop("constant", 0)))
+        elif kind in ("identity", "fourier1d"):
+            D = getattr(dicts, kind)(params.pop("n"))
+        else:
+            raise ValidationError(f"unknown dictionary kind {kind!r}")
     except KeyError as exc:
         raise ValidationError(f"dictionary spec {spec!r} is missing parameter {exc}") from exc
-    raise ValidationError(f"unknown dictionary kind {kind!r}")
+    if params:
+        raise ValidationError(f"unknown dictionary parameter {', '.join(map(repr, params))} in {spec!r}")
+    return D
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ haar2d(J)
     Four families per scale: sign split along x2 (family 1), along x1
     (family 2), checkerboard (family 3) and the constant-on-block family 4
     kept only at the coarsest scale j = J-1.  Values are +-2**-j on a
-    2**j x 2**j block.  Analyze/synthesize run as an O(n) cascade on block
-    sums, never as dense products.
+    2**j x 2**j block.  Analyze/synthesize apply the sparse analysis matrix
+    H (CSR, 4**J (3(J-1) + 1) nonzeros, built in closed form on first use
+    and cached per J) and its transpose view; atom k is row k of H.
 sinusoid2d(d, L, include_constant)
     Orthonormal set of low-frequency real sinusoids sampled at integer pixels
     alpha in {1..d}^2 with arguments 2*pi*l*alpha/d: the four sin/cos product
     families with frequencies up to L, each normalized to unit norm, plus an
-    optional constant atom of value 1/d.  m = 4L^2 + 4L (+1).  Fast transforms
-    are separable matrix products, O(n*L).
+    optional constant atom of value 1/d.  m = 4L^2 + 4L (+1).  With the
+    sin and cos rows stacked in one (2L+1, d) table T, analyze is T X T^T
+    and synthesize T^T M T: two matrix products per direction, O(n*L).
 identity(n)
     Spike basis.
 fourier1d(n)
@@ -34,161 +36,130 @@ order, each raveled with l2 slow / l1 fast, constant atom last.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from operator import methodcaller
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import hadamard
 
 from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
-# Fast 2D Haar cascade
+# 2D Haar analysis matrix
 
 def haar_atom_count(J: int) -> int:
     return 4 ** J
 
 
+@lru_cache(maxsize=None)
+def haar_matrix(J: int) -> sp.csr_array:
+    """The analysis matrix H (atoms as rows, 4**J x 4**J) in CSR, built in
+    closed form from index arithmetic and cached per J.  Atom k at scale j
+    fills one 2**j x 2**j block with +-2**-j, so H holds
+    4**J * (3(J-1) + 1) nonzeros."""
+    d = 2 ** J
+    index = np.int32 if 4 ** J * (3 * (J - 1) + 1) < 2 ** 31 else np.int64
+    indices, values, lengths = [], [], []
+
+    def scale(j, detail):
+        size, half, blocks = 2 ** j, 2 ** (j - 1), 2 ** (J - j)
+        r, c = np.divmod(np.arange(size * size, dtype=index), size)          # pixel within a block
+        br, bc = np.divmod(np.arange(blocks * blocks, dtype=index), blocks)  # block, k2 slow / k1 fast
+        cols = ((br * size * d + bc * size)[:, None] + (r * d + c)[None, :]).ravel()
+        low, right = r >= half, c >= half
+        # Families 1..3 split along x2, along x1 and as a checkerboard;
+        # family 4 is constant on its block.
+        if detail:
+            signs = (2.0 * low - 1, 2.0 * right - 1, 1 - 2.0 * (low ^ right))
+        else:
+            signs = (np.ones(size * size),)
+        for sign in signs:
+            indices.append(cols)
+            values.append(np.tile(sign * 2.0 ** (-j), blocks * blocks))
+            lengths.append(np.full(blocks * blocks, size * size))
+
+    for j in range(1, J):
+        scale(j, True)
+    scale(J - 1, False)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))]).astype(index)
+    return sp.csr_array((np.concatenate(values), np.concatenate(indices), indptr), shape=(d * d, d * d))
+
+
 def _haar_analyze_rows(rows: np.ndarray, J: int) -> np.ndarray:
     """Signals (batch, 4**J) -> coefficients (batch, 4**J)."""
-    lead = rows.shape[:1]
-    parts = []
-    P = rows.reshape(lead + (2 ** J, 2 ** J))
-    for j in range(1, J):
-        A = P[..., 0::2, 0::2]
-        B = P[..., 0::2, 1::2]
-        C = P[..., 1::2, 0::2]
-        D = P[..., 1::2, 1::2]
-        s = 2.0 ** (-j)
-        parts.append(((C + D) - (A + B)) * s)
-        parts.append(((B + D) - (A + C)) * s)
-        parts.append(((A + D) - (B + C)) * s)
-        P = (A + B) + (C + D)
-    parts.append(P * 2.0 ** (-(J - 1)))
-    return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
+    return (haar_matrix(J) @ rows.T).T
+
+
+@lru_cache(maxsize=None)
+def _haar_transpose(J: int) -> sp.csc_array:
+    """H^T as a CSC view of H's arrays, without a second copy.  Cached:
+    making the view costs about a third of one product."""
+    return haar_matrix(J).T
 
 
 def _haar_synthesize_rows(y: np.ndarray, J: int) -> np.ndarray:
     """Coefficients (batch, 4**J) -> signals (batch, 4**J)."""
-    lead = y.shape[:-1]
-    pos = 0
-    details = []
-    for j in range(1, J):
-        size = 2 ** (J - j)
-        cnt = size * size
-        blocks = []
-        for _ in range(3):
-            blocks.append(y[..., pos:pos + cnt].reshape(lead + (size, size)))
-            pos += cnt
-        details.append((j, blocks))
-    c4 = y[..., pos:pos + 4].reshape(lead + (2, 2))
-    P = c4 * 2.0 ** (J - 1)
-    for j, (c1, c2, c3) in reversed(details):
-        s = 2.0 ** j
-        u1, u2, u3, u4 = c1 * s, c2 * s, c3 * s, P
-        A = (u4 - u1 - u2 + u3) * 0.25
-        B = (u4 - u1 + u2 - u3) * 0.25
-        C = (u4 + u1 - u2 - u3) * 0.25
-        D = (u4 + u1 + u2 + u3) * 0.25
-        size = A.shape[-1]
-        P = np.empty(lead + (2 * size, 2 * size), dtype=np.float64)
-        P[..., 0::2, 0::2] = A
-        P[..., 0::2, 1::2] = B
-        P[..., 1::2, 0::2] = C
-        P[..., 1::2, 1::2] = D
-    return P.reshape(lead + (-1,))
+    return (_haar_transpose(J) @ y.T).T
 
 
-#: Signs of the four quadrants [[top-left, top-right], [bottom-left,
-#: bottom-right]] of a Haar atom's block, families 1..4.
-_HAAR_QUADRANT_SIGNS = np.array([[[-1.0, -1.0], [1.0, 1.0]],
-                                 [[-1.0, 1.0], [-1.0, 1.0]],
-                                 [[1.0, -1.0], [-1.0, 1.0]],
-                                 [[1.0, 1.0], [1.0, 1.0]]])
-
-
-def _haar_atom(k: int, J: int) -> np.ndarray:
-    """Atom k in closed form: one 2**j x 2**j block of +-2**-j, zero
-    elsewhere.  Bit-identical to the cascade applied to e_k, at a fraction
-    of its cost."""
-    n_detail = 4 ** J - 4
-    if k >= n_detail:
-        j, family, (r, c) = J - 1, 3, divmod(k - n_detail, 2)
-    else:
-        j, pos = 1, k
-        while pos >= 3 * 4 ** (J - j):
-            pos -= 3 * 4 ** (J - j)
-            j += 1
-        family, local = divmod(pos, 4 ** (J - j))
-        r, c = divmod(local, 2 ** (J - j))
-    size, half = 2 ** j, 2 ** (j - 1)
-    img = np.zeros((2 ** J, 2 ** J))
-    quadrants = _HAAR_QUADRANT_SIGNS[family] * 2.0 ** (-j)
-    img[r * size:(r + 1) * size, c * size:(c + 1) * size] = quadrants.repeat(half, 0).repeat(half, 1)
-    return img.reshape(-1)
+def _haar_row(k: int, J: int) -> np.ndarray:
+    """Atom k: row k of H, dense."""
+    H = haar_matrix(J)
+    lo, hi = H.indptr[k], H.indptr[k + 1]
+    atom = np.zeros(H.shape[1])
+    atom[H.indices[lo:hi]] = H.data[lo:hi]
+    return atom
 
 
 # ---------------------------------------------------------------------------
 # Low-frequency real sinusoids
 
 class _SinusoidTables:
-    """Sampled sin/cos matrices, per-atom normalizers and the block layout."""
+    """The sampled sin/cos table, the per-atom normalizers and the layout.
+
+    T stacks sin(2 pi l alpha / d), l = 1..L, over cos(2 pi l alpha / d),
+    l = 0..L: a (2L+1, d) table.  Every atom is a normalized outer product
+    of two rows of T, so T X T^T holds the inner products of a signal X with
+    all of them (and more) on a (2L+1)^2 grid indexed [l2 row, l1 row];
+    ``perm`` picks the atoms from that grid in coefficient order and
+    ``weights`` holds their normalizers.
+    """
 
     def __init__(self, d: int, L: int, include_constant: bool):
         alpha = np.arange(1, d + 1, dtype=np.float64)
         ls = np.arange(1, L + 1, dtype=np.float64)
         lc = np.arange(0, L + 1, dtype=np.float64)
-        self.S = np.sin(2.0 * np.pi * np.outer(ls, alpha) / d)   # (L, d)
-        self.C = np.cos(2.0 * np.pi * np.outer(lc, alpha) / d)   # (L+1, d)
-        ns = np.linalg.norm(self.S, axis=1)
-        nc = np.linalg.norm(self.C, axis=1)
-        if ns.min() < 1e-9 or nc.min() < 1e-9:
+        self.T = np.concatenate([np.sin(2.0 * np.pi * np.outer(ls, alpha) / d),
+                                 np.cos(2.0 * np.pi * np.outer(lc, alpha) / d)])
+        norms = np.linalg.norm(self.T, axis=1)
+        if norms.min() < 1e-9:
             raise ValidationError("degenerate all-zero sampled sinusoid")
-        # Atom norms factor over the two axes; grids are indexed [l2, l1].
-        self.w1 = 1.0 / np.outer(ns, ns)
-        self.w2 = 1.0 / np.outer(nc, ns)
-        self.w3 = 1.0 / np.outer(ns, nc)
-        self.w4 = 1.0 / np.outer(nc, nc)
-        self.d = d
-        self.L = L
-        self.include_constant = include_constant
-        self.counts = (L * L, (L + 1) * L, L * (L + 1), (L + 1) * (L + 1) - 1)
-        self.m = sum(self.counts) + (1 if include_constant else 0)
+        K = 2 * L + 1
+        grid = np.arange(K * K).reshape(K, K)
+        # Families: sin x sin, cos x sin, sin x cos, cos x cos without (0, 0),
+        # then the constant atom, which is cos 0 x cos 0.
+        parts = [grid[:L, :L], grid[L:, :L], grid[:L, L:], grid[L:, L:].ravel()[1:]]
+        if include_constant:
+            parts.append(grid[L, L])
+        self.perm = np.concatenate([np.ravel(p) for p in parts])
+        self.weights = (1.0 / np.outer(norms, norms)).ravel()[self.perm]
+        self.d, self.K = d, K
+        self.m = len(self.perm)
 
     def analyze(self, rows: np.ndarray) -> np.ndarray:
         """Signals (batch, d*d) -> coefficients (batch, m)."""
-        lead = rows.shape[:1]
-        x = rows.reshape(lead + (self.d, self.d))
-        sx = self.S @ x
-        cx = self.C @ x
-        p1 = (sx @ self.S.T) * self.w1
-        p2 = (cx @ self.S.T) * self.w2
-        p3 = (sx @ self.C.T) * self.w3
-        p4 = (cx @ self.C.T) * self.w4
-        parts = [p1.reshape(lead + (-1,)), p2.reshape(lead + (-1,)),
-                 p3.reshape(lead + (-1,)), p4.reshape(lead + (-1,))[..., 1:]]
-        if self.include_constant:
-            parts.append(x.sum(axis=(-2, -1))[..., None] / self.d)
-        return np.concatenate(parts, axis=-1)
+        x = rows.reshape(-1, self.d, self.d)
+        grid = self.T @ x @ self.T.T
+        return grid.reshape(len(x), -1)[:, self.perm] * self.weights
 
     def synthesize(self, y: np.ndarray) -> np.ndarray:
         """Coefficients (batch, m) -> signals (batch, d*d)."""
-        lead = y.shape[:-1]
-        L = self.L
-        c1, c2, c3, c4 = self.counts
-        pos = 0
-        m1 = y[..., pos:pos + c1].reshape(lead + (L, L)) * self.w1; pos += c1
-        m2 = y[..., pos:pos + c2].reshape(lead + (L + 1, L)) * self.w2; pos += c2
-        m3 = y[..., pos:pos + c3].reshape(lead + (L, L + 1)) * self.w3; pos += c3
-        m4flat = np.zeros(lead + ((L + 1) * (L + 1),), dtype=np.float64)
-        m4flat[..., 1:] = y[..., pos:pos + c4]; pos += c4
-        m4 = m4flat.reshape(lead + (L + 1, L + 1)) * self.w4
-        St, Ct = self.S.swapaxes(-2, -1), self.C.swapaxes(-2, -1)
-        x = St @ (m1 @ self.S) + Ct @ (m2 @ self.S) + St @ (m3 @ self.C) + Ct @ (m4 @ self.C)
-        if self.include_constant:
-            x = x + (y[..., pos] / self.d)[..., None, None]
-        return x.reshape(lead + (-1,))
+        grid = np.zeros((len(y), self.K * self.K))
+        grid[:, self.perm] = y * self.weights
+        x = self.T.T @ grid.reshape(-1, self.K, self.K) @ self.T
+        return x.reshape(len(y), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +249,7 @@ def haar2d(J: int) -> Dictionary:
     J = int(J)
     return Dictionary("haar2d", 4 ** J, haar_atom_count(J),
                       partial(_haar_analyze_rows, J=J), partial(_haar_synthesize_rows, J=J),
-                      atom=partial(_haar_atom, J=J))
+                      atom=partial(_haar_row, J=J))
 
 
 def sinusoid2d(d: int, L: int, include_constant: bool = False) -> Dictionary:

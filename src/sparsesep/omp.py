@@ -99,13 +99,17 @@ class OmpReport:
     selected: np.ndarray
 
 
-def _grow(arr: np.ndarray, need: int) -> np.ndarray:
-    """``arr`` if it holds ``need`` rows, else a copy with room for at least
-    twice as many, so buffers grow geometrically with the active set."""
-    if len(arr) >= need:
+def _grow(arr: np.ndarray, need: int, axis: int = 0) -> np.ndarray:
+    """``arr`` if it holds ``need`` entries along ``axis``, else a copy with
+    room for at least twice as many, so buffers grow geometrically with the
+    active set."""
+    have = arr.shape[axis]
+    if have >= need:
         return arr
-    out = np.zeros((max(need, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
-    out[:len(arr)] = arr
+    shape = list(arr.shape)
+    shape[axis] = max(need, 2 * have)
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[(slice(None),) * axis + (slice(have),)] = arr
     return out
 
 
@@ -126,13 +130,21 @@ class _SchurRefit:
     column of S taken from X_F^T X_F[:, beta].  Each pivot (the Schur
     complement of a new atom against the active set) is tested against
     ``tolerance``.
+
+    X_F is stored transposed, one contiguous row per beta, and the rows of
+    the betas that active g atoms use come first (``order`` maps a row to
+    its beta, ``row_of`` back).  v vanishes off those betas, so X_F v and
+    the columns of S read one leading block of ``n_support`` rows, not all
+    m_g of them.
     """
 
     def __init__(self, W2: float, m_f: int, m_g: int, n_blocks: int, tolerance: float):
         self.W2, self.tolerance = W2, tolerance
         self.m_f, self.m_g, self.n_blocks = m_f, m_g, n_blocks
-        self.n_f = self.n_g = 0
-        self.cross = np.zeros((16, m_g))            # X_F
+        self.n_f = self.n_g = self.n_support = 0
+        self.cross = np.zeros((m_g, 16))            # X_F^T, rows permuted
+        self.order = np.arange(m_g)
+        self.row_of = np.arange(m_g)
         self.f_index = np.zeros(16, dtype=int)
         self.f_rhs = np.zeros(16)
         self.g_block = np.zeros(16, dtype=int)
@@ -162,10 +174,10 @@ class _SchurRefit:
             dspr(k, 1.0 / pivot, z, self.sinv[:k * (k + 1) // 2], overwrite_ap=True)
         self.t += rhs * x
         n = self.n_f
-        self.cross = _grow(self.cross, n + 1)
+        self.cross = _grow(self.cross, n + 1, axis=1)
         self.f_index = _grow(self.f_index, n + 1)
         self.f_rhs = _grow(self.f_rhs, n + 1)
-        self.cross[n] = x
+        self.cross[:, n] = x[self.order]
         self.f_index[n] = index
         self.f_rhs[n] = rhs
         self.n_f = n + 1
@@ -175,11 +187,19 @@ class _SchurRefit:
         """Append a g atom (bordering S^-1); False if it depends on the
         active set."""
         k = self.n_g
-        X = self.cross[:self.n_f]
-        col = X.T @ X[:, beta]
-        s = col[self.g_beta[:k]] * self.g_omega[:k] * (-omega / self.W2)
+        row, lead = self.row_of[beta], self.n_support
+        if row >= lead:             # move beta's row into the leading block
+            other = self.order[lead]
+            self.cross[[lead, row]] = self.cross[[row, lead]]
+            self.order[lead], self.order[row] = beta, other
+            self.row_of[beta], self.row_of[other] = lead, row
+            row = lead
+            self.n_support = lead + 1
+        X = self.cross[:self.n_support, :self.n_f]
+        col = X @ X[row]            # X_F^T X_F[:, beta] on the leading rows
+        s = col[self.row_of[self.g_beta[:k]]] * self.g_omega[:k] * (-omega / self.W2)
         z = self._sinv_times(s)
-        pivot = omega - omega * omega * col[beta] / self.W2 - float(s @ z)
+        pivot = omega - omega * omega * col[row] / self.W2 - float(s @ z)
         if self._dependent(pivot, omega):
             return False
         # [[S, s], [s^T, sigma]]^-1 = [[S^-1, 0], [0, 0]] + [z; -1][z; -1]^T / pivot
@@ -201,9 +221,9 @@ class _SchurRefit:
         k, n = self.n_g, self.n_f
         beta, omega = self.g_beta[:k], self.g_omega[:k]
         y_G = self._sinv_times(self.g_rhs[:k] - omega * self.t[beta] / self.W2)
-        v = np.bincount(beta, weights=omega * y_G, minlength=self.m_g)
+        v = np.bincount(self.row_of[beta], weights=omega * y_G, minlength=self.n_support)
         y_f = np.zeros(self.m_f)
-        y_f[self.f_index[:n]] = (self.f_rhs[:n] - self.cross[:n] @ v) / self.W2
+        y_f[self.f_index[:n]] = (self.f_rhs[:n] - v @ self.cross[:self.n_support, :n]) / self.W2
         y_g = np.zeros((self.n_blocks, self.m_g))
         y_g[self.g_block[:k], beta] = y_G
         return y_f, y_g
@@ -219,7 +239,6 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
     (n_blocks, m_g).
     """
     m_f, m_g = A_f.m, A_g.m
-    n = A_f.n
     weights = np.array([w for w, _, _ in rows], dtype=np.float64)
     if np.any(weights < 0):
         raise ValidationError("row weights must be nonnegative")
@@ -229,29 +248,33 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
     block_of_row = np.array([b for _, _, b in rows], dtype=int)
     w2 = weights ** 2
     W2 = float(w2.sum())
-    W2_b = np.zeros(n_blocks)
-    np.add.at(W2_b, block_of_row, w2)
-    colnorm_f = np.sqrt(W2)
-    colnorm_g = np.sqrt(W2_b)
+    # Row 0 sums every weighted row (the f side), row 1 + b those of block b.
+    row_weights = np.zeros((1 + n_blocks, len(rows)))
+    row_weights[0] = w2
+    row_weights[1 + block_of_row, np.arange(len(rows))] = w2
+    W2_b = row_weights[1:].sum(axis=1)
     live_g = W2_b > 0.0
 
     # Right-hand side of the normal equations, full index space, computed once.
-    Hf = (w2[:, None] * data).sum(axis=0)
-    Hg = np.zeros((n_blocks, n))
-    np.add.at(Hg, block_of_row, w2[:, None] * data)
-    bf_full = A_f.analyze(Hf)
-    bg_full = A_g.analyze_batch(Hg)
+    sums = row_weights @ data
+    bf_full = A_f.analyze(sums[0])
+    bg_full = A_g.analyze_batch(sums[1:])
 
     forced = [int(i) for i in (forced or [])]
     total_cols = m_f + n_blocks * m_g
     max_k = min(len(forced) + cfg.max_iterations, m_f + int(live_g.sum()) * m_g)
     active = _SchurRefit(W2, m_f, m_g, n_blocks, cfg.refit_tolerance)
-    excluded = np.zeros(total_cols, dtype=bool)
+    # Reciprocal column norms of the stacked system; zero for the atoms of
+    # dead blocks and for every atom already tried, so they never score.
+    score_scale = np.empty(total_cols)
+    score_scale[:m_f] = 1.0 / np.sqrt(W2)
+    score_scale[m_f:] = np.repeat(np.divide(1.0, np.sqrt(W2_b), out=np.zeros(n_blocks), where=live_g), m_g)
+    scores = np.empty(total_cols)
     selected: list[int] = []
 
     def append_atom(gidx: int) -> bool:
         """Add one atom to the active set; False if it is dependent."""
-        excluded[gidx] = True
+        score_scale[gidx] = 0.0
         if gidx < m_f:
             ok = active.add_f(gidx, A_g.analyze(A_f.atom(gidx)), bf_full[gidx])
         else:
@@ -264,23 +287,23 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
     for gidx in forced:
         if not 0 <= gidx < total_cols:
             raise ValidationError(f"warm-start index {gidx} out of range [0, {total_cols})")
-        if not excluded[gidx]:
+        if score_scale[gidx]:
             append_atom(gidx)
     n_forced = len(selected)
 
     y_f, y_g = active.solve()
     stall_tol = 0.0
     residuals = []
-    res_rows = data.copy()
+    res_rows = np.empty_like(data)
     stop_reason = "max_iterations"
 
     while True:
         # Residual per row from the current exact refit.
-        f_img = A_f.synthesize(y_f) if active.n_f else np.zeros(n)
-        g_imgs = A_g.synthesize_batch(y_g)
-        res_rows = data - f_img[None, :] - g_imgs[block_of_row]
-        row_norms = np.linalg.norm(res_rows, axis=1)
-        stacked = float(np.sqrt(np.sum(w2 * row_norms ** 2)))
+        g_rows = A_g.synthesize_batch(y_g[block_of_row])
+        np.subtract(data, A_f.synthesize(y_f) if active.n_f else 0.0, out=res_rows)
+        res_rows -= g_rows
+        row_sq = np.einsum("ij,ij->i", res_rows, res_rows)
+        stacked = float(np.sqrt(w2 @ row_sq))
         residuals.append(stacked)
         if not residuals[:-1]:
             stall_tol = 1e-12 * max(1.0, stacked)
@@ -291,20 +314,10 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
             stop_reason = "max_iterations"
             break
 
-        wres = w2[:, None] * res_rows
-        corr_f = A_f.analyze(wres.sum(axis=0))
-        acc_g = np.zeros((n_blocks, n))
-        for r, b in enumerate(block_of_row):   # np.add.at's order, without its overhead
-            acc_g[b] += wres[r]
-        corr_g = A_g.analyze_batch(acc_g)
-
-        scores = np.empty(total_cols)
-        scores[:m_f] = np.abs(corr_f) / colnorm_f
-        sg = np.abs(corr_g)
-        sg[live_g] /= colnorm_g[live_g, None]
-        sg[~live_g] = 0.0
-        scores[m_f:] = sg.ravel()
-        scores[excluded] = -1.0
+        sums = row_weights @ res_rows
+        np.abs(A_f.analyze(sums[0]), out=scores[:m_f])
+        np.abs(A_g.analyze_batch(sums[1:]), out=scores[m_f:].reshape(n_blocks, m_g))
+        scores *= score_scale
         gidx = int(np.argmax(scores))
         if scores[gidx] <= stall_tol:
             stop_reason = "stalled"
@@ -314,7 +327,7 @@ def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: Om
 
     report = OmpReport(
         residuals=np.array(residuals),
-        per_row_residuals=np.linalg.norm(res_rows, axis=1),
+        per_row_residuals=np.sqrt(row_sq),
         iterations=len(selected) - n_forced,
         stop_reason=stop_reason,
         selected=np.array(selected, dtype=int),

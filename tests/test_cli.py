@@ -38,6 +38,25 @@ def test_dict_spec_errors():
     assert run(["dict", "info", "haar2d:d=3"]) == 1
 
 
+@pytest.mark.parametrize("spec, name", [
+    ("sinusoid2d:d=16,L=3,constant=7,extra=1", "'extra'"),
+    ("haar2d:J=3,L=2", "'L'"),
+    ("identity:n=8,d=8", "'d'"),
+    ("fourier1d:n=8,n=16", "'n'"),
+])
+def test_dict_spec_rejects_leftover_or_repeated_parameter(capsys, spec, name):
+    assert run(["dict", "info", spec]) == 1
+    captured = capsys.readouterr()
+    assert name in captured.err and captured.out == ""
+
+
+def test_dict_info_large_haar_is_lazy(capsys):
+    # 4**12 pixels: an eagerly built analysis matrix would take about 7 GB.
+    assert run(["dict", "info", "haar2d:J=12"]) == 0
+    out = capsys.readouterr().out
+    assert f"n {4 ** 12}" in out and f"m {4 ** 12}" in out
+
+
 def test_separate_outputs(tmp_path):
     d = 16
     rng = np.random.default_rng(0)

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from sparsesep.dictionaries import (
     explicit,
     fourier1d,
     haar2d,
+    haar_matrix,
     identity,
     mutual_coherence,
     sinusoid2d,
@@ -133,6 +137,32 @@ def test_haar_closed_form_atom_is_synthesis_of_basis_vector(J):
         assert np.array_equal(atom, ref) and np.array_equal(np.signbit(atom), np.signbit(ref)), k
 
 
+@pytest.mark.parametrize("J", [2, 3, 4, 5])
+def test_haar_matrix_is_dense_reference_bit_for_bit(J):
+    H = haar_matrix(J)
+    assert np.array_equal(H.toarray(), dense_haar_atoms(J).T)
+    assert H.nnz == 4 ** J * (3 * (J - 1) + 1)
+
+
+def test_haar_construction_allocates_nothing():
+    tracemalloc.start()
+    try:
+        D = haar2d(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (D.n, D.m) == (4 ** 12, 4 ** 12)
+    assert peak < 2 ** 20
+
+
+def test_haar_dictionary_pickles_after_use():
+    D = haar2d(4)
+    x = np.random.default_rng(9).standard_normal(D.n)
+    E = pickle.loads(pickle.dumps(D))
+    assert np.array_equal(E.analyze(x), D.analyze(x))
+    assert np.array_equal(E.synthesize(x), D.synthesize(x))
+
+
 def test_haar_coarsest_constant_atom_value():
     # the constant-family atom at the coarsest scale holds 2^-(J-1) on its block
     J = 5
@@ -197,6 +227,19 @@ def test_sinusoid_fast_agrees_with_dense_application():
     y = rng.standard_normal(D.m)
     assert np.abs(D.analyze(x) - ref.T @ x).max() < 1e-10
     assert np.abs(D.synthesize(y) - ref @ y).max() < 1e-10
+
+
+@pytest.mark.parametrize("d, L", [(64, 8), (128, 15)])
+@pytest.mark.parametrize("include_constant", [False, True])
+@pytest.mark.parametrize("batch", [1, 3, 5])
+def test_sinusoid_batches_agree_with_dense_at_pipeline_sizes(d, L, include_constant, batch):
+    D = sinusoid2d(d, L, include_constant)
+    ref = dense_sinusoid_atoms(d, L, include_constant)
+    rng = np.random.default_rng(batch)
+    X = rng.standard_normal((batch, D.n))
+    Y = rng.standard_normal((batch, D.m))
+    assert np.abs(D.analyze_batch(X) - X @ ref).max() < 1e-12
+    assert np.abs(D.synthesize_batch(Y) - Y @ ref.T).max() < 1e-12
 
 
 def test_unit_norm_atoms():
