@@ -2,13 +2,18 @@
 
 Forward solver: vertex-centered 5-point stencil on the unit square with mesh
 h = 1/(d-1), harmonic averaging of D at cell faces and eliminated Dirichlet
-rows; the resulting SPD system is solved by conjugate gradient.
+rows.  The resulting SPD system is applied matrix-free and solved by
+conjugate gradient preconditioned with the exact inverse of the
+constant-coefficient Dirichlet Laplacian, which the orthonormal DST-I
+diagonalizes (Concus & Golub 1973).
 
 Inverse sub-steps: pointwise recovery of grad(log D) from three solutions of
 the same equation via the two-solution identity div(D u1^2 grad(u_j/u1)) = 0,
 followed by least-squares integration of the gradient field (an anchored
-Neumann-Poisson solve built on the exactly adjoint grad/div pair of ``grid``),
+Neumann-Poisson solve on the exactly adjoint grad/div pair of ``grid``, done
+exactly in the orthonormal DCT-II basis; Simchony, Chellappa & Shao 1990),
 and the averaged pointwise absorption formula mu = mean_i div(D grad u_i) / u_i.
+Both transforms are applied as dense matrix products, cached per size.
 
 Boundary traces are 1D vectors over the 4(d-1) boundary pixels, walked
 counterclockwise from pixel (row 0, col 0): bottom row left to right, right
@@ -18,14 +23,12 @@ column bottom to top, top row right to left, left column top to bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.ndimage import gaussian_filter
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConditioningError, DomainError, SolverError, ValidationError
-from .grid import Grid2, div_adjoint, grad_forward
+from .grid import Grid2, div_adjoint, grad_forward  # grad_forward: re-exported
 
 _CG_RTOL = 1e-10
 
@@ -81,7 +84,7 @@ def grid_with_trace(d: int, trace: np.ndarray, fill: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffusionProblem:
-    """Coefficients and Dirichlet data: D > 0, mu >= 0, phi on the ring."""
+    """Coefficients and Dirichlet data: D > 0, mu >= 0, phi on the ring; side >= 3."""
 
     D: Grid2
     mu: Grid2
@@ -90,6 +93,8 @@ class DiffusionProblem:
     def __post_init__(self):
         if self.D.side != self.mu.side:
             raise ValidationError("D and mu must share one side length")
+        if self.D.side < 3:
+            raise ValidationError(f"a {self.D.side}x{self.D.side} grid has no interior pixel")
         if np.any(self.D.values <= 0):
             raise ValidationError("D must be strictly positive")
         if np.any(self.mu.values < 0):
@@ -109,53 +114,123 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
+@lru_cache(maxsize=4)
+def _dst_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix S of order m (symmetric, S @ S = I) and
+    1 / (lam_j + lam_k), the inverse eigenvalues of the m x m Dirichlet
+    Laplacian tridiag(-1, 2, -1) (x) I + I (x) tridiag(-1, 2, -1) in that basis."""
+    k = np.arange(1, m + 1)
+    S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+    inv = 1.0 / np.add.outer(lam, lam)
+    S.setflags(write=False)
+    inv.setflags(write=False)
+    return S, inv
+
+
+@lru_cache(maxsize=4)
+def _dct_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II matrix C of order d (rows are the basis vectors) and
+    1 / (lam_j + lam_k), the inverse eigenvalues of the d x d Neumann graph
+    Laplacian with unit edges in that basis; the constant mode maps to 0."""
+    k = np.arange(d)
+    C = np.cos(np.pi * np.outer(k, 2 * k + 1) / (2 * d))
+    C *= np.sqrt(2.0 / d)
+    C[0] /= np.sqrt(2.0)
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / d)
+    lam_sum = np.add.outer(lam, lam)
+    lam_sum[0, 0] = np.inf
+    inv = 1.0 / lam_sum
+    C.setflags(write=False)
+    inv.setflags(write=False)
+    return C, inv
+
+
 def solve_diffusion(p: DiffusionProblem) -> Grid2:
-    """5-point finite-difference solution with Dirichlet data eliminated."""
-    d = p.side
+    """5-point finite-difference solution with Dirichlet data eliminated.
+
+    The SPD system is applied matrix-free from the face conductances and
+    solved by conjugate gradient, preconditioned by the exact inverse of the
+    constant-coefficient Dirichlet Laplacian (a DST-I diagonalization).
+    """
+    u = grid_with_trace(p.side, p.phi)
+    _solve_interior(p.D.values, p.mu.values, u)
+    # Grid2 copies u; once the solver's work arrays are freed, the copy can
+    # take their place instead of growing the heap past them.
+    return Grid2(u)
+
+
+def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> None:
+    """Overwrite the interior of u with the solution for its boundary values."""
+    d = u.shape[0]
     h2 = (1.0 / (d - 1)) ** 2
-    D = p.D.values
-    mu = p.mu.values
-    u = grid_with_trace(d, p.phi)
-
     m = d - 2
-    core = D[1:-1, 1:-1]
-    aE = _harmonic(core, D[1:-1, 2:]) / h2
-    aW = _harmonic(core, D[1:-1, :-2]) / h2
-    aN = _harmonic(core, D[2:, 1:-1]) / h2
-    aS = _harmonic(core, D[:-2, 1:-1]) / h2
-    diag = (aE + aW + aN + aS + mu[1:-1, 1:-1]).ravel()
-
-    idx = np.arange(m * m).reshape(m, m)
-    rows = [np.arange(m * m)]
-    cols = [np.arange(m * m)]
-    vals = [diag]
-    for a, sl_r, sl_c in (
-        (aE, np.s_[:, :-1], np.s_[:, 1:]),
-        (aW, np.s_[:, 1:], np.s_[:, :-1]),
-        (aN, np.s_[:-1, :], np.s_[1:, :]),
-        (aS, np.s_[1:, :], np.s_[:-1, :]),
-    ):
-        rows.append(idx[sl_r].ravel())
-        cols.append(idx[sl_c].ravel())
-        vals.append(-a[sl_r].ravel())
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * m, m * m),
-    )
+    # Face conductances / h^2: ax[r, j] joins columns j, j+1 of interior row
+    # r + 1; ay[i, c] joins rows i, i+1 of interior column c + 1.
+    ax = _harmonic(D[1:-1, :-1], D[1:-1, 1:])
+    ax /= h2
+    ay = _harmonic(D[:-1, 1:-1], D[1:, 1:-1])
+    ay /= h2
+    diag = ax[:, 1:] + ax[:, :-1]
+    diag += ay[1:]
+    diag += ay[:-1]
+    diag += mu[1:-1, 1:-1]
+    cx, cy = ax[:, 1:-1], ay[1:-1]
 
     rhs = np.zeros((m, m))
-    rhs[:, -1] += aE[:, -1] * u[1:-1, -1]
-    rhs[:, 0] += aW[:, 0] * u[1:-1, 0]
-    rhs[-1, :] += aN[-1, :] * u[-1, 1:-1]
-    rhs[0, :] += aS[0, :] * u[0, 1:-1]
-    b = rhs.ravel()
+    rhs[:, -1] += ax[:, -1] * u[1:-1, -1]
+    rhs[:, 0] += ax[:, 0] * u[1:-1, 0]
+    rhs[-1, :] += ay[-1] * u[-1, 1:-1]
+    rhs[0, :] += ay[0] * u[0, 1:-1]
 
-    x, info = cg(A, b, rtol=_CG_RTOL, atol=0.0, maxiter=max(2000, m * m))
-    res = np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300)
-    if info != 0 or res > 10 * _CG_RTOL:
-        raise SolverError(f"diffusion CG did not converge: info={info}, relative residual={res:.3e}")
-    u[1:-1, 1:-1] = x.reshape(m, m)
-    return Grid2(u)
+    # One scratch buffer serves the neighbour products, the preconditioner
+    # and the updates; the iterate lives in the interior of u.
+    t = np.empty((m, m))
+    tx, ty = t[:, 1:], t[1:]
+
+    def apply(v, out):
+        np.multiply(diag, v, out=out)
+        out[:, :-1] -= np.multiply(cx, v[:, 1:], out=tx)
+        out[:, 1:] -= np.multiply(cx, v[:, :-1], out=tx)
+        out[:-1] -= np.multiply(cy, v[1:], out=ty)
+        out[1:] -= np.multiply(cy, v[:-1], out=ty)
+
+    # A positive scale on the preconditioner leaves the iterates unchanged, so
+    # the unit-coefficient Laplacian serves for any D.
+    S, inv = _dst_basis(m)
+
+    def precondition(v, out):
+        np.matmul(np.matmul(S, v, out=t), S, out=out)
+        out *= inv
+        np.matmul(np.matmul(S, out, out=t), S, out=out)
+
+    x = u[1:-1, 1:-1]
+    r = rhs.copy()
+    bnorm = np.linalg.norm(rhs)
+    z, q = np.empty((m, m)), np.empty((m, m))
+    precondition(r, z)
+    pdir = z.copy()
+    rz = np.vdot(r, z)
+    maxiter = max(2000, m * m)
+    for it in range(maxiter):
+        if np.linalg.norm(r) <= _CG_RTOL * bnorm:
+            break
+        apply(pdir, q)
+        alpha = rz / np.vdot(pdir, q)
+        x += np.multiply(pdir, alpha, out=t)
+        r -= np.multiply(q, alpha, out=t)
+        precondition(r, z)
+        rz, rz_old = np.vdot(r, z), rz
+        pdir *= rz / rz_old
+        pdir += z
+    else:
+        it = maxiter
+    apply(x, q)
+    q -= rhs
+    res = np.linalg.norm(q) / max(bnorm, 1e-300)
+    if it == maxiter or res > 10 * _CG_RTOL:
+        raise SolverError(
+            f"diffusion CG did not converge: {it} iterations, relative residual={res:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,31 +242,29 @@ def integrate_gradient_field(
     """Least-squares potential w with grad w ~ (f1, f2) and w fixed at the anchor.
 
     Minimizes the squared mismatch over all edges (components averaged onto
-    edges), i.e. solves the Neumann-Poisson normal equations; the right-hand
-    side is exactly mean-free so plain CG applies, and the additive constant
-    is fixed afterwards from the anchor value (w(anchor) = value).
+    edges), i.e. solves the Neumann-Poisson normal equations
+    -div grad w = -div f exactly in the DCT-II basis, which diagonalizes the
+    Neumann Laplacian; the constant mode is left out, and the additive
+    constant is fixed afterwards from the anchor value (w(anchor) = value).
     """
     (ar, ac), aval = anchor
     d = f1.shape[0]
-    fx = 0.5 * (f1[:, :-1] + f1[:, 1:])
-    fy = 0.5 * (f2[:-1, :] + f2[1:, :])
-    b = -div_adjoint(fx, fy, h).ravel()
-
-    def apply_lap(v):
-        gx, gy = grad_forward(v.reshape(d, d), h)
-        return -div_adjoint(gx, gy, h).ravel()
-
-    A = LinearOperator((d * d, d * d), matvec=apply_lap)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        w = np.zeros((d, d))
-    else:
-        x, info = cg(A, b, rtol=_CG_RTOL, atol=0.0, maxiter=max(2000, 10 * d * d))
-        res = np.linalg.norm(b - A @ x) / bnorm
-        if res > 100 * _CG_RTOL:
-            raise SolverError(f"field integration CG did not converge: info={info}, relative residual={res:.3e}")
-        w = x.reshape(d, d)
-    return w - w[ar, ac] + aval
+    fx = np.add(f1[:, :-1], f1[:, 1:])
+    fx *= 0.5
+    fy = np.add(f2[:-1, :], f2[1:, :])
+    fy *= 0.5
+    w = div_adjoint(fx, fy, h)
+    del fx, fy
+    C, inv = _dct_basis(d)
+    t = np.matmul(C, w)
+    np.matmul(t, C.T, out=w)
+    w *= inv
+    w *= -h * h
+    np.matmul(C.T, w, out=t)
+    np.matmul(t, C, out=w)
+    w -= w[ar, ac]
+    w += aval
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +277,67 @@ def _gradient(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _divergence(c1: np.ndarray, c2: np.ndarray, h: float) -> np.ndarray:
-    return np.gradient(c1, h, axis=1) + np.gradient(c2, h, axis=0)
+    out = np.gradient(c1, h, axis=1)
+    out += np.gradient(c2, h, axis=0)
+    return out
+
+
+def _smooth(v: np.ndarray, sigma: float) -> np.ndarray:
+    # Imported here: scipy.ndimage costs import time and memory that only
+    # the smoothed variants use.
+    from scipy.ndimage import gaussian_filter
+
+    return gaussian_filter(v, sigma, mode="nearest")
+
+
+def _log_D_gradient(
+    w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, h: float, det_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise grad(log D) from div(D u1^2 grad(u_j/u1)) = 0, j = 2, 3.
+
+    Each pixel gives a 2x2 system whose rows are grad(u_j/u1); its
+    temporaries end with this call, before the field is integrated.
+    """
+    w1sq = w1 ** 2
+    rhs = []
+    grads = []
+    for wj in (w2, w3):
+        g1, g2 = _gradient(wj / w1, h)
+        grads.append((g1, g2))
+        r = _divergence(w1sq * g1, w1sq * g2, h)
+        r /= w1sq
+        rhs.append(np.negative(r, out=r))
+    del w1sq
+    (a11, a12), (a21, a22) = grads          # row j = grad(u_j/u1)
+    det = a11 * a22 - a12 * a21
+
+    interior = det[1:-1, 1:-1]
+    if interior.min() <= det_threshold:
+        bad = np.argwhere(interior <= det_threshold)[:5] + 1
+        worst = ", ".join(f"(row={r}, col={c}, det={det[r, c]:.3e})" for r, c in bad)
+        raise ConditioningError(
+            f"ratio-gradient determinant at or below {det_threshold} on interior pixels: {worst}")
+
+    r1, r2 = rhs
+    f1 = a22 * r1
+    f1 -= a12 * r2
+    f1 /= det
+    f2 = r2                                 # (a11 r2 - a21 r1) / det, in place
+    f2 *= a11
+    f2 -= a21 * r1
+    f2 /= det
+    # One-sided ring estimates can degenerate even when the interior is fine;
+    # fall back to the nearest interior value there.
+    bad = np.abs(det) <= det_threshold
+    if bad.any():
+        for f in (f1, f2):
+            for src, dst in (((1, slice(None)), (0, slice(None))),
+                             ((-2, slice(None)), (-1, slice(None))),
+                             ((slice(None), 1), (slice(None), 0)),
+                             ((slice(None), -2), (slice(None), -1))):
+                mask = bad[dst]
+                f[dst] = np.where(mask, f[src], f[dst])
+    return f1, f2
 
 
 def recover_log_D(
@@ -234,45 +367,15 @@ def recover_log_D(
     h = 1.0 / (d - 1)
     us = [u.values for u in (u1, u2, u3)]
     if smooth_sigma > 0:
-        us = [gaussian_filter(u, smooth_sigma, mode="nearest") for u in us]
+        us = [_smooth(u, smooth_sigma) for u in us]
     w1, w2, w3 = us
     if np.any(w1 <= 0):
         raise DomainError("the base solution u1 must be strictly positive")
 
-    rhs = []
-    grads = []
-    for wj in (w2, w3):
-        v = wj / w1
-        g1, g2 = _gradient(v, h)
-        grads.append((g1, g2))
-        beta1, beta2 = w1 ** 2 * g1, w1 ** 2 * g2
-        rhs.append(-_divergence(beta1, beta2, h) / w1 ** 2)
-    (a11, a12), (a21, a22) = grads          # row j = grad(u_j/u1)
-    det = a11 * a22 - a12 * a21
-
-    interior = det[1:-1, 1:-1]
-    if interior.min() <= det_threshold:
-        bad = np.argwhere(interior <= det_threshold)[:5] + 1
-        worst = ", ".join(f"(row={r}, col={c}, det={det[r, c]:.3e})" for r, c in bad)
-        raise ConditioningError(
-            f"ratio-gradient determinant at or below {det_threshold} on interior pixels: {worst}")
-
-    f1 = (a22 * rhs[0] - a12 * rhs[1]) / det
-    f2 = (-a21 * rhs[0] + a11 * rhs[1]) / det
-    # One-sided ring estimates can degenerate even when the interior is fine;
-    # fall back to the nearest interior value there.
-    bad = np.abs(det) <= det_threshold
-    if bad.any():
-        for f in (f1, f2):
-            for src, dst in (((1, slice(None)), (0, slice(None))),
-                             ((-2, slice(None)), (-1, slice(None))),
-                             ((slice(None), 1), (slice(None), 0)),
-                             ((slice(None), -2), (slice(None), -1))):
-                mask = bad[dst]
-                f[dst] = np.where(mask, f[src], f[dst])
-
+    f1, f2 = _log_D_gradient(w1, w2, w3, h, det_threshold)
     w = integrate_gradient_field(f1, f2, ((ar, ac), np.log(aval)), h)
-    return Grid2(np.exp(w))
+    del f1, f2                              # so that the Grid2 copy can reuse them
+    return Grid2(np.exp(w, out=w))
 
 
 def recover_mu(
@@ -293,14 +396,14 @@ def recover_mu(
     h = 1.0 / (d - 1)
     Dv = D.values
     if smooth_sigma > 0:
-        Dv = gaussian_filter(Dv, smooth_sigma, mode="nearest")
+        Dv = _smooth(Dv, smooth_sigma)
     acc = np.zeros((d, d))
     for u in u_list:
         uv = u.values
         if np.any(uv <= 0):
             raise DomainError("solutions must be strictly positive")
         if smooth_sigma > 0:
-            uv = gaussian_filter(uv, smooth_sigma, mode="nearest")
+            uv = _smooth(uv, smooth_sigma)
         g1, g2 = _gradient(uv, h)
         acc += _divergence(Dv * g1, Dv * g2, h) / uv
     mu = acc / len(u_list)

@@ -212,6 +212,33 @@ def test_numerical_failure_maps_to_two(tmp_path, monkeypatch):
     assert code == 2
 
 
+def _solve_argv(tmp_path, D, mu):
+    dpath, mpath = tmp_path / "D.rg2", tmp_path / "mu.rg2"
+    write_rg2(str(dpath), Grid2(D))
+    write_rg2(str(mpath), Grid2(mu))
+    return ["solve", "--diffusion", str(dpath), "--mu", str(mpath),
+            "--boundary", "gamma1:1", "--out", str(tmp_path / "u.rg2")]
+
+
+def test_solve_without_interior_is_validation_error(tmp_path, capsys):
+    assert run(_solve_argv(tmp_path, np.ones((2, 2)), np.zeros((2, 2)))) == 1
+    err = capsys.readouterr().err
+    assert "no interior pixel" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "u.rg2").exists()
+
+
+def test_solve_non_convergence_maps_to_two_without_output(tmp_path, capsys):
+    # A 10^6 conductivity disc: the solver cannot reach its tolerance.
+    d = 128
+    ax = np.arange(d) / (d - 1.0)
+    X1, X2 = np.meshgrid(ax, ax)
+    D = np.where((X1 - 0.5) ** 2 + (X2 - 0.5) ** 2 < 0.2 ** 2, 1e6, 1.0)
+    assert run(_solve_argv(tmp_path, D, np.ones((d, d)))) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (tmp_path / "u.rg2").exists()
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 2.00 GiB for an array with shape (16384, 16384)")
 

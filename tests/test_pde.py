@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparsesep.errors import ConditioningError, DomainError, ValidationError
+import sparsesep
+from sparsesep.errors import ConditioningError, DomainError, SolverError, ValidationError
 from sparsesep.grid import Grid2
 from sparsesep.pde import (
     DiffusionProblem,
@@ -109,15 +115,10 @@ def test_dense_lu_oracle_agreement():
     assert np.abs(u.values[1:-1, 1:-1] - dense).max() < 1e-8
 
 
-def test_variable_coefficient_dense_oracle():
-    rng = np.random.default_rng(0)
-    d = 9
-    Dv = 1.0 + rng.random((d, d))
-    muv = rng.random((d, d))
-    phi = 1.0 + 0.2 * rng.random(ring_length(d))
-    u = solve_diffusion(DiffusionProblem(Grid2(Dv), Grid2(muv), phi))
-
-    # dense assembly with the same harmonic-face stencil
+def dense_five_point(Dv, muv, phi):
+    """Dense 5-point system with the solver's harmonic-face stencil, Dirichlet
+    data eliminated; returns (A, b) over the interior in row-major order."""
+    d = Dv.shape[0]
     h2 = (1.0 / (d - 1)) ** 2
     m = d - 2
     harm = lambda a, b: 2 * a * b / (a + b)
@@ -137,8 +138,50 @@ def test_variable_coefficient_dense_oracle():
                 else:
                     b[k] += w * full[rr, cc]
             A[k, k] += muv[r, c]
-    dense = np.linalg.solve(A, b).reshape(m, m)
+    return A, b
+
+
+def test_variable_coefficient_dense_oracle():
+    rng = np.random.default_rng(0)
+    d = 9
+    Dv = 1.0 + rng.random((d, d))
+    muv = rng.random((d, d))
+    phi = 1.0 + 0.2 * rng.random(ring_length(d))
+    u = solve_diffusion(DiffusionProblem(Grid2(Dv), Grid2(muv), phi))
+    A, b = dense_five_point(Dv, muv, phi)
+    dense = np.linalg.solve(A, b).reshape(d - 2, d - 2)
     assert np.abs(u.values[1:-1, 1:-1] - dense).max() < 1e-8
+
+
+def disc_and_bump(d, contrast):
+    """A smooth bump plus a disc of conductivity ``contrast`` times the rest."""
+    X1, X2 = coords(d)
+    disc = (X1 - 0.35) ** 2 + (X2 - 0.6) ** 2 < 0.2 ** 2
+    return (1.0 + 0.5 * np.exp(-((X1 - 0.6) ** 2 + (X2 - 0.4) ** 2) / 0.05)) * np.where(disc, contrast, 1.0)
+
+
+@pytest.mark.parametrize("d", [3, 17, 33])
+def test_preconditioned_solve_matches_dense_system(d):
+    # Variable D with a 10x jump and variable mu: the preconditioner is the
+    # constant-coefficient Laplacian, so this is where it is furthest off.
+    X1, X2 = coords(d)
+    Dv = disc_and_bump(d, 10.0)
+    muv = 0.5 + 2.0 * (X1 > 0.5) + X2
+    phi = 1.0 + 0.5 * np.sin(np.arange(ring_length(d)))
+    u = solve_diffusion(DiffusionProblem(Grid2(Dv), Grid2(muv), phi))
+    A, b = dense_five_point(Dv, muv, phi)
+    dense = np.linalg.solve(A, b).reshape(d - 2, d - 2)
+    assert np.linalg.norm(u.values[1:-1, 1:-1] - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert np.array_equal(trace_from_grid(u), phi)
+
+
+def test_unreachable_tolerance_raises_solver_error():
+    # A 10^6 conductivity jump: the recurrence converges but the recomputed
+    # residual stays above the tolerance, which must surface, not be returned.
+    d = 128
+    problem = DiffusionProblem(Grid2(disc_and_bump(d, 1e6)), unit_grid(d), np.ones(ring_length(d)))
+    with pytest.raises(SolverError, match="relative residual"):
+        solve_diffusion(problem)
 
 
 def test_discrete_maximum_principle():
@@ -161,6 +204,11 @@ def test_problem_validation():
         DiffusionProblem(unit_grid(d), Grid2(-np.ones((d, d))), np.ones(ring_length(d)))
     with pytest.raises(ValidationError):
         DiffusionProblem(unit_grid(d), unit_grid(d), np.ones(3))
+
+
+def test_problem_without_interior_is_rejected():
+    with pytest.raises(ValidationError, match="no interior pixel"):
+        DiffusionProblem(unit_grid(2), unit_grid(2), np.ones(ring_length(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +241,30 @@ def test_integrate_recovers_smooth_potential():
     g2 = X2
     w = integrate_gradient_field(g1, g2, ((0, 0), w_true[0, 0]), h)
     assert np.abs(w - w_true).max() < 5e-3   # second-order edge averaging at h = 1/32
+
+
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_integrate_matches_anchored_least_squares(d):
+    # The edge system: one forward difference per edge against the field
+    # averaged onto that edge; lstsq gives its minimum-norm solution.
+    rng = np.random.default_rng(d)
+    h = 1.0 / (d - 1)
+    f1, f2 = rng.standard_normal((2, d, d))
+    idx = np.arange(d * d).reshape(d, d)
+    rows = []
+    for lo, hi in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
+        G = np.zeros((lo.size, d * d))
+        G[np.arange(lo.size), hi.ravel()] = 1.0 / h
+        G[np.arange(lo.size), lo.ravel()] = -1.0 / h
+        rows.append(G)
+    rhs = np.concatenate([(0.5 * (f1[:, :-1] + f1[:, 1:])).ravel(),
+                          (0.5 * (f2[:-1, :] + f2[1:, :])).ravel()])
+    ref = np.linalg.lstsq(np.vstack(rows), rhs, rcond=None)[0].reshape(d, d)
+    anchor = ((d - 1, d // 2), 0.75)
+    ref += 0.75 - ref[d - 1, d // 2]
+    w = integrate_gradient_field(f1, f2, anchor, h)
+    assert np.abs(w - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert w[d - 1, d // 2] == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +387,39 @@ def test_ratio_independence_detects_differences():
     val = ratio_independence([u1, u2], [base, base])
     assert val > 0.0
     assert val == pytest.approx(np.linalg.norm(0.1 * X1 - 0.1 * X2) / np.linalg.norm(u1.values))
+
+
+# ---------------------------------------------------------------------------
+# footprint
+
+def traced_peak_mb(fn, *args):
+    """Peak traced allocation of one call, after a first call fills the caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_footprint_at_256():
+    d = 256
+    X1, X2 = coords(d)
+    phi = 1.0 + 0.1 * np.cos(np.arange(ring_length(d)))
+    problem = DiffusionProblem(Grid2(disc_and_bump(d, 2.0)), Grid2(1.0 + X1), phi)
+    assert traced_peak_mb(solve_diffusion, problem) <= 8.0
+
+
+def test_integrate_footprint_at_256():
+    d = 256
+    f1, f2 = np.random.default_rng(3).standard_normal((2, d, d))
+    assert traced_peak_mb(integrate_gradient_field, f1, f2, ((5, 7), 0.0), 1.0 / (d - 1)) <= 3.0
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    code = ("import sys, sparsesep.pde, sparsesep.qpat, sparsesep.cli; "
+            "print(' '.join(m for m in ('scipy.ndimage', 'scipy.sparse.linalg', 'scipy.fft') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsesep.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
