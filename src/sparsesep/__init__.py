@@ -32,7 +32,7 @@ from .dictionaries import (
     mutual_coherence,
     sinusoid2d,
 )
-from .omp import OmpConfig, OmpReport, StackedSystem, l0_oracle, omp_block, omp_block_penalized, omp_single
+from .omp import OmpConfig, OmpReport, StackedSystem, l0_oracle, omp_block, omp_single
 from .tv import TvConfig, total_variation, tv_denoise
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from io import StringIO
@@ -111,6 +112,8 @@ def parse_run_config(path: str) -> dict:
                 values[key] = caster(value.strip())
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {value.strip()!r}") from exc
+            if caster is float and not math.isfinite(values[key]):
+                raise ValidationError(f"{path}:{lineno}: {key} must be finite, got {value.strip()!r}")
     cfg = {key: default for key, (_, default) in _CONFIG_SCHEMA.items()}
     cfg.update(values)
     for key in ("phantom_kind", "d", "out_dir"):
@@ -124,7 +127,7 @@ def parse_run_config(path: str) -> dict:
     elif 2 ** cfg["J"] != d:
         raise ValidationError(f"{path}: inconsistent J={cfg['J']} for d={d}")
     for key in ("noise_level", "epsilon", "tv_weight"):
-        if cfg[key] < 0:
+        if not cfg[key] >= 0:
             raise ValidationError(f"{path}: {key} must be nonnegative")
     if not 1 <= cfg["n_measurements"] <= 5:
         raise ValidationError(f"{path}: n_measurements must lie in 1..5")
@@ -165,6 +168,8 @@ def _cmd_dict_info(args) -> int:
 
 
 def _cmd_separate(args) -> int:
+    if not math.isfinite(args.epsilon):
+        raise ValidationError(f"epsilon must be finite, got {args.epsilon}")
     grids = [read_rg2(p) for p in args.inputs]
     ms = MeasurementSet(tuple(grids))
     A_f = parse_dict_spec(args.dict_f)

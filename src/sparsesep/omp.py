@@ -4,23 +4,21 @@
 ``omp_block`` runs the same greedy scheme on the stacked system for N
 measurements h_i = f + g_i: one shared coefficient block y_f (its stacked
 column repeats the atom in every measurement row, column norm sqrt(N)) and a
-per-measurement block y_g^i.  ``omp_block_penalized`` additionally accepts
-weighted rows binding one extra shared g-block, which turns the solver into
-a lambda-weighted penalized form; no pipeline calls it.
+per-measurement block y_g^i (column norm 1).
 
 Every iterate is the exact least-squares fit on the active set.  Both atom
-sets are orthonormal, so the weighted Gram matrix of the active columns is
-[[W2 I, B], [B^T, diag(omega)]]: a multiple of the identity on the f block,
-diagonal on the g block, dense only across the f/g boundary.  The refit
+sets are orthonormal, so the Gram matrix of the active stacked columns is
+[[N I, B], [B^T, I]]: a multiple of the identity on the f block, the
+identity on the g block, dense only across the f/g boundary.  The refit
 eliminates the f block and keeps the inverse of its Schur complement
-S = diag(omega) - B^T B / W2 explicitly, a k_g x k_g matrix over the active
-g atoms alone.  A new f atom updates S^-1 by Sherman-Morrison, a new g atom
-borders it; each costs O(k_g^2), and its pivot (the new atom's Schur
-complement against the active set) is tested against ``refit_tolerance``, so
-a dependent atom is rejected instead of making the system singular.  The
-buffers grow geometrically with the active set, not with the budget.  All
-dictionary applications go through the fast transforms; the stacked matrix
-is never materialized.
+S = I - B^T B / N explicitly, a k_g x k_g matrix over the active g atoms
+alone.  A new f atom updates S^-1 by Sherman-Morrison, a new g atom borders
+it; each costs O(k_g^2), and its pivot (the new atom's Schur complement
+against the active set) is tested against ``_REFIT_TOL``, so a dependent
+atom is rejected instead of making the system singular.  The buffers grow
+geometrically with the active set, not with the budget.  All dictionary
+applications go through the fast transforms; the stacked matrix is never
+materialized.
 """
 
 from __future__ import annotations
@@ -33,12 +31,15 @@ from scipy.linalg.blas import dspmv, dspr
 
 from .dictionaries import Dictionary
 from .errors import ValidationError
-from .grid import CoeffBlock, ZERO_TOL
+from .grid import CoeffBlock
+
+#: Relative pivot below which a new atom counts as dependent on the active set.
+_REFIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OmpConfig:
-    """Stopping and refit parameters.
+    """Stopping parameters.
 
     ``residual_target`` is compared against the stacked residual norm, i.e.
     pass sqrt(N) * epsilon to enforce an aggregate per-measurement tolerance
@@ -47,14 +48,12 @@ class OmpConfig:
 
     max_iterations: int
     residual_target: float = 0.0
-    refit_tolerance: float = 1e-10
-    zero_threshold: float = ZERO_TOL
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.residual_target < 0:
-            raise ValidationError("residual_target must be nonnegative")
+        if not self.residual_target >= 0:
+            raise ValidationError(f"residual_target must be nonnegative, got {self.residual_target}")
 
 
 @dataclass(frozen=True)
@@ -118,18 +117,16 @@ class _SchurRefit:
     complement of its f block.
 
     Active f atoms carry their cross rows x = A_g^T a (the rows of X_F) and
-    right-hand sides b_F; active g atoms carry (block, beta), their weight
-    omega = W2_b and b_G.  Eliminating the f block from the normal equations
-    [[W2 I, B], [B^T, diag(omega)]] with B = X_F[:, beta] * omega leaves
-    S = diag(omega) - B^T B / W2, of the size of the g block; S^-1 is kept
-    explicitly, packed (upper triangle by columns), so that bordering it
-    appends a column and moves nothing.  With t = X_F^T b_F maintained per
-    f atom, y_G = S^-1 (b_G - omega * t[beta] / W2) and
-    y_F = (b_F - X_F v) / W2, v = bincount(beta, omega * y_G).  A new f atom
-    updates S^-1 by Sherman-Morrison; a new g atom borders it, with its
-    column of S taken from X_F^T X_F[:, beta].  Each pivot (the Schur
-    complement of a new atom against the active set) is tested against
-    ``tolerance``.
+    right-hand sides b_F; active g atoms carry (block, beta) and b_G.
+    Eliminating the f block from the normal equations [[N I, B], [B^T, I]]
+    with B = X_F[:, beta] leaves S = I - B^T B / N, of the size of the g
+    block; S^-1 is kept explicitly, packed (upper triangle by columns), so
+    that bordering it appends a column and moves nothing.  With t = X_F^T b_F
+    maintained per f atom, y_G = S^-1 (b_G - t[beta] / N) and
+    y_F = (b_F - X_F v) / N, v = bincount(beta, y_G).  A new f atom updates
+    S^-1 by Sherman-Morrison; a new g atom borders it, with its column of S
+    taken from X_F^T X_F[:, beta].  Each pivot (the Schur complement of a
+    new atom against the active set) is tested against ``_REFIT_TOL``.
 
     X_F is stored transposed, one contiguous row per beta, and the rows of
     the betas that active g atoms use come first (``order`` maps a row to
@@ -138,9 +135,8 @@ class _SchurRefit:
     m_g of them.
     """
 
-    def __init__(self, W2: float, m_f: int, m_g: int, n_blocks: int, tolerance: float):
-        self.W2, self.tolerance = W2, tolerance
-        self.m_f, self.m_g, self.n_blocks = m_f, m_g, n_blocks
+    def __init__(self, N: int, m_f: int, m_g: int):
+        self.N, self.m_f, self.m_g = N, m_f, m_g
         self.n_f = self.n_g = self.n_support = 0
         self.cross = np.zeros((m_g, 16))            # X_F^T, rows permuted
         self.order = np.arange(m_g)
@@ -149,13 +145,13 @@ class _SchurRefit:
         self.f_rhs = np.zeros(16)
         self.g_block = np.zeros(16, dtype=int)
         self.g_beta = np.zeros(16, dtype=int)
-        self.g_omega = np.zeros(16)
         self.g_rhs = np.zeros(16)
         self.sinv = np.zeros(16 * 17 // 2)          # S^-1, packed upper
         self.t = np.zeros(m_g)
 
-    def _dependent(self, pivot: float, diag: float) -> bool:
-        return pivot <= max(self.tolerance * max(diag, 1e-30), 1e-14)
+    @staticmethod
+    def _dependent(pivot: float, diag: float) -> bool:
+        return pivot <= max(_REFIT_TOL * diag, 1e-14)
 
     def _sinv_times(self, vec: np.ndarray) -> np.ndarray:
         k = self.n_g
@@ -165,10 +161,10 @@ class _SchurRefit:
         """Append an f atom with cross row x (Sherman-Morrison on S^-1);
         False if it depends on the active set."""
         k = self.n_g
-        u = self.g_omega[:k] * x[self.g_beta[:k]]
+        u = x[self.g_beta[:k]]
         z = self._sinv_times(u)
-        pivot = self.W2 - float(u @ z)
-        if self._dependent(pivot, self.W2):
+        pivot = self.N - float(u @ z)
+        if self._dependent(pivot, self.N):
             return False
         if k:
             dspr(k, 1.0 / pivot, z, self.sinv[:k * (k + 1) // 2], overwrite_ap=True)
@@ -183,7 +179,7 @@ class _SchurRefit:
         self.n_f = n + 1
         return True
 
-    def add_g(self, block: int, beta: int, omega: float, rhs: float) -> bool:
+    def add_g(self, block: int, beta: int, rhs: float) -> bool:
         """Append a g atom (bordering S^-1); False if it depends on the
         active set."""
         k = self.n_g
@@ -197,10 +193,10 @@ class _SchurRefit:
             self.n_support = lead + 1
         X = self.cross[:self.n_support, :self.n_f]
         col = X @ X[row]            # X_F^T X_F[:, beta] on the leading rows
-        s = col[self.row_of[self.g_beta[:k]]] * self.g_omega[:k] * (-omega / self.W2)
+        s = col[self.row_of[self.g_beta[:k]]] * (-1.0 / self.N)
         z = self._sinv_times(s)
-        pivot = omega - omega * omega * col[row] / self.W2 - float(s @ z)
-        if self._dependent(pivot, omega):
+        pivot = 1.0 - col[row] / self.N - float(s @ z)
+        if self._dependent(pivot, 1.0):
             return False
         # [[S, s], [s^T, sigma]]^-1 = [[S^-1, 0], [0, 0]] + [z; -1][z; -1]^T / pivot
         size = (k + 1) * (k + 2) // 2
@@ -209,130 +205,22 @@ class _SchurRefit:
         dspr(k + 1, 1.0 / pivot, np.append(z, -1.0), self.sinv[:size], overwrite_ap=True)
         self.g_block = _grow(self.g_block, k + 1)
         self.g_beta = _grow(self.g_beta, k + 1)
-        self.g_omega = _grow(self.g_omega, k + 1)
         self.g_rhs = _grow(self.g_rhs, k + 1)
-        self.g_block[k], self.g_beta[k] = block, beta
-        self.g_omega[k], self.g_rhs[k] = omega, rhs
+        self.g_block[k], self.g_beta[k], self.g_rhs[k] = block, beta, rhs
         self.n_g = k + 1
         return True
 
     def solve(self):
-        """Coefficients of the exact fit: y_f (m_f,) and y_g (n_blocks, m_g)."""
+        """Coefficients of the exact fit: y_f (m_f,) and y_g (N, m_g)."""
         k, n = self.n_g, self.n_f
-        beta, omega = self.g_beta[:k], self.g_omega[:k]
-        y_G = self._sinv_times(self.g_rhs[:k] - omega * self.t[beta] / self.W2)
-        v = np.bincount(self.row_of[beta], weights=omega * y_G, minlength=self.n_support)
+        beta = self.g_beta[:k]
+        y_G = self._sinv_times(self.g_rhs[:k] - self.t[beta] / self.N)
+        v = np.bincount(self.row_of[beta], weights=y_G, minlength=self.n_support)
         y_f = np.zeros(self.m_f)
-        y_f[self.f_index[:n]] = (self.f_rhs[:n] - v @ self.cross[:self.n_support, :n]) / self.W2
-        y_g = np.zeros((self.n_blocks, self.m_g))
+        y_f[self.f_index[:n]] = (self.f_rhs[:n] - v @ self.cross[:self.n_support, :n]) / self.N
+        y_g = np.zeros((self.N, self.m_g))
         y_g[self.g_block[:k], beta] = y_G
         return y_f, y_g
-
-
-def _block_greedy(A_f: Dictionary, A_g: Dictionary, rows, n_blocks: int, cfg: OmpConfig,
-                  forced=None):
-    """Greedy pursuit on weighted rows (weight, data, block_id).
-
-    ``forced`` pre-seeds the active set with the given global column indices
-    (a warm start); they are refit jointly but do not count against
-    ``max_iterations``.  Returns (y_f, y_g, report) with y_g of shape
-    (n_blocks, m_g).
-    """
-    m_f, m_g = A_f.m, A_g.m
-    weights = np.array([w for w, _, _ in rows], dtype=np.float64)
-    if np.any(weights < 0):
-        raise ValidationError("row weights must be nonnegative")
-    if not np.any(weights > 0):
-        raise ValidationError("at least one row weight must be positive")
-    data = np.stack([h for _, h, _ in rows])                      # (R, n)
-    block_of_row = np.array([b for _, _, b in rows], dtype=int)
-    w2 = weights ** 2
-    W2 = float(w2.sum())
-    # Row 0 sums every weighted row (the f side), row 1 + b those of block b.
-    row_weights = np.zeros((1 + n_blocks, len(rows)))
-    row_weights[0] = w2
-    row_weights[1 + block_of_row, np.arange(len(rows))] = w2
-    W2_b = row_weights[1:].sum(axis=1)
-    live_g = W2_b > 0.0
-
-    # Right-hand side of the normal equations, full index space, computed once.
-    sums = row_weights @ data
-    bf_full = A_f.analyze(sums[0])
-    bg_full = A_g.analyze_batch(sums[1:])
-
-    forced = [int(i) for i in (forced or [])]
-    total_cols = m_f + n_blocks * m_g
-    max_k = min(len(forced) + cfg.max_iterations, m_f + int(live_g.sum()) * m_g)
-    active = _SchurRefit(W2, m_f, m_g, n_blocks, cfg.refit_tolerance)
-    # Reciprocal column norms of the stacked system; zero for the atoms of
-    # dead blocks and for every atom already tried, so they never score.
-    score_scale = np.empty(total_cols)
-    score_scale[:m_f] = 1.0 / np.sqrt(W2)
-    score_scale[m_f:] = np.repeat(np.divide(1.0, np.sqrt(W2_b), out=np.zeros(n_blocks), where=live_g), m_g)
-    scores = np.empty(total_cols)
-    selected: list[int] = []
-
-    def append_atom(gidx: int) -> bool:
-        """Add one atom to the active set; False if it is dependent."""
-        score_scale[gidx] = 0.0
-        if gidx < m_f:
-            ok = active.add_f(gidx, A_g.analyze(A_f.atom(gidx)), bf_full[gidx])
-        else:
-            b_id, beta = divmod(gidx - m_f, m_g)
-            ok = active.add_g(b_id, beta, W2_b[b_id], bg_full[b_id, beta])
-        if ok:
-            selected.append(gidx)
-        return ok
-
-    for gidx in forced:
-        if not 0 <= gidx < total_cols:
-            raise ValidationError(f"warm-start index {gidx} out of range [0, {total_cols})")
-        if score_scale[gidx]:
-            append_atom(gidx)
-    n_forced = len(selected)
-
-    y_f, y_g = active.solve()
-    stall_tol = 0.0
-    residuals = []
-    res_rows = np.empty_like(data)
-    stop_reason = "max_iterations"
-
-    while True:
-        # Residual per row from the current exact refit.
-        g_rows = A_g.synthesize_batch(y_g[block_of_row])
-        np.subtract(data, A_f.synthesize(y_f) if active.n_f else 0.0, out=res_rows)
-        res_rows -= g_rows
-        row_sq = np.einsum("ij,ij->i", res_rows, res_rows)
-        stacked = float(np.sqrt(w2 @ row_sq))
-        residuals.append(stacked)
-        if not residuals[:-1]:
-            stall_tol = 1e-12 * max(1.0, stacked)
-        if cfg.residual_target > 0 and stacked <= cfg.residual_target:
-            stop_reason = "residual"
-            break
-        if len(selected) - n_forced >= cfg.max_iterations or len(selected) >= max_k:
-            stop_reason = "max_iterations"
-            break
-
-        sums = row_weights @ res_rows
-        np.abs(A_f.analyze(sums[0]), out=scores[:m_f])
-        np.abs(A_g.analyze_batch(sums[1:]), out=scores[m_f:].reshape(n_blocks, m_g))
-        scores *= score_scale
-        gidx = int(np.argmax(scores))
-        if scores[gidx] <= stall_tol:
-            stop_reason = "stalled"
-            break
-        if append_atom(gidx):
-            y_f, y_g = active.solve()
-
-    report = OmpReport(
-        residuals=np.array(residuals),
-        per_row_residuals=np.sqrt(row_sq),
-        iterations=len(selected) - n_forced,
-        stop_reason=stop_reason,
-        selected=np.array(selected, dtype=int),
-    )
-    return y_f, y_g, report
 
 
 def omp_single(D: Dictionary, f: np.ndarray, cfg: OmpConfig):
@@ -374,46 +262,83 @@ def omp_single(D: Dictionary, f: np.ndarray, cfg: OmpConfig):
 
 def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport]:
     """Block pursuit over the stacked system; stops at the aggregate
-    residual target (sqrt(N) * epsilon) or the iteration budget."""
-    rows = [(1.0, h_i, i) for i, h_i in enumerate(sys.h)]
-    y_f, y_g, report = _block_greedy(sys.A_f, sys.A_g, rows, sys.N, cfg)
-    return CoeffBlock(y_f, tuple(y_g)), report
+    residual target (sqrt(N) * epsilon) or the iteration budget.
 
-
-def omp_block_penalized(
-    sys: StackedSystem,
-    cfg: OmpConfig,
-    extra: list[tuple[float, np.ndarray]],
-    base_weight: float = 1.0,
-    warm_start=None,
-) -> tuple[CoeffBlock, OmpReport]:
-    """Weighted block pursuit with extra rows binding one shared g-block.
-
-    Base rows carry ``base_weight`` (lambda_1); each extra row is a pair
-    (weight, data) tied to the additional block y_g^{N+1}, so the returned
-    block has N+1 per-measurement components.  Zero weights are allowed and
-    simply mute the corresponding rows.  ``warm_start`` pre-seeds the active
-    set with global column indices (typically the selection of a previous
-    unweighted run, whose index space is a prefix of this one).
-
-    No pipeline calls this solver.  The variable-Gamma pipeline does not
-    re-separate against reference solutions with it: on its instances the
-    shared g-block receives no atoms at 64x64 and makes the diffusion
-    estimate worse at 128x128, because Haar sparsity cannot keep a smooth
-    Gamma out of the shared component.
+    Each iteration scores every column not yet tried by its correlation with
+    the stacked residual over its column norm (sqrt(N) for f, 1 for g; ties
+    break to the lowest global index), adds the best one unless it depends
+    on the active set, and refits exactly.
     """
-    if base_weight < 0:
-        raise ValidationError("base_weight must be nonnegative")
-    n = sys.A_f.n
-    rows = [(base_weight, h_i, i) for i, h_i in enumerate(sys.h)]
-    for w, h0 in extra:
-        h0 = np.asarray(h0, dtype=np.float64)
-        if h0.shape != (n,):
-            raise ValidationError(f"extra row shape {h0.shape} != ({n},)")
-        rows.append((float(w), h0, sys.N))
-    y_f, y_g, report = _block_greedy(sys.A_f, sys.A_g, rows, sys.N + 1, cfg,
-                                     forced=warm_start)
+    A_f, A_g, N = sys.A_f, sys.A_g, sys.N
+    m_f, m_g = A_f.m, A_g.m
+    data = np.stack(sys.h)                                        # (N, n)
+    # Right-hand side of the normal equations, full index space, computed once.
+    bf_full = A_f.analyze(data.sum(axis=0))
+    bg_full = A_g.analyze_batch(data)
+
+    total_cols = m_f + N * m_g
+    max_k = min(cfg.max_iterations, total_cols)
+    active = _SchurRefit(N, m_f, m_g)
+    # Reciprocal column norms of the stacked system; zero for every atom
+    # already tried, so it never scores again.
+    score_scale = np.ones(total_cols)
+    score_scale[:m_f] = 1.0 / np.sqrt(N)
+    scores = np.empty(total_cols)
+    selected: list[int] = []
+
+    y_f, y_g = active.solve()
+    stall_tol = 0.0
+    residuals = []
+    res_rows = np.empty_like(data)
+
+    while True:
+        # Residual per row from the current exact refit.
+        g_rows = A_g.synthesize_batch(y_g)
+        np.subtract(data, A_f.synthesize(y_f) if active.n_f else 0.0, out=res_rows)
+        res_rows -= g_rows
+        row_sq = np.einsum("ij,ij->i", res_rows, res_rows)
+        stacked = float(np.sqrt(row_sq.sum()))
+        residuals.append(stacked)
+        if not residuals[:-1]:
+            stall_tol = 1e-12 * max(1.0, stacked)
+        if cfg.residual_target > 0 and stacked <= cfg.residual_target:
+            stop_reason = "residual"
+            break
+        if len(selected) >= max_k:
+            stop_reason = "max_iterations"
+            break
+
+        np.abs(A_f.analyze(res_rows.sum(axis=0)), out=scores[:m_f])
+        np.abs(A_g.analyze_batch(res_rows), out=scores[m_f:].reshape(N, m_g))
+        scores *= score_scale
+        gidx = int(np.argmax(scores))
+        if scores[gidx] <= stall_tol:
+            stop_reason = "stalled"
+            break
+        score_scale[gidx] = 0.0
+        if gidx < m_f:
+            added = active.add_f(gidx, A_g.analyze(A_f.atom(gidx)), bf_full[gidx])
+        else:
+            block, beta = divmod(gidx - m_f, m_g)
+            added = active.add_g(block, beta, bg_full[block, beta])
+        if added:
+            selected.append(gidx)
+            y_f, y_g = active.solve()
+
+    report = OmpReport(
+        residuals=np.array(residuals),
+        per_row_residuals=np.sqrt(row_sq),
+        iterations=len(selected),
+        stop_reason=stop_reason,
+        selected=np.array(selected, dtype=int),
+    )
     return CoeffBlock(y_f, tuple(y_g)), report
+
+
+# Bound only because the benchmark tracer looks this name up; it goes with
+# that lookup (ROADMAP item 1).
+def omp_block_penalized(*args, **kwargs):
+    raise NotImplementedError("omp_block_penalized was removed; use omp_block")
 
 
 def l0_oracle(matrix: np.ndarray, f: np.ndarray, epsilon: float, max_support: int = 4):

@@ -212,7 +212,7 @@ def make_qpat_problem(
     for name, g in (("gamma", gamma), ("mu", mu), ("D", D)):
         if np.any(g.values <= 0):
             raise DomainError(f"{name} must be strictly positive")
-    if noise_level < 0:
+    if not noise_level >= 0:
         raise ValidationError("noise_level must be nonnegative")
     phis = tuple(np.asarray(t, dtype=np.float64) for t in phis)
     us = []

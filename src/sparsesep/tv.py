@@ -24,7 +24,7 @@ class TvConfig:
     dual_step: float = 0.25
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValidationError(f"weight must be positive, got {self.weight}")
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")

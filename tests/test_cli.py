@@ -187,6 +187,31 @@ def test_config_validates_ranges(tmp_path):
     assert run(["qpat-gamma1", "--config", str(cfgp)]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["noise_level", "epsilon", "tv_weight"])
+def test_config_rejects_non_finite_floats(tmp_path, capsys, key, value):
+    # NaN fails every comparison, so a range check alone lets it through.
+    cfgp = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfgp.write_text(config_text(str(out_dir), **{key: value}))
+    assert run(["qpat-gamma1", "--config", str(cfgp)]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_separate_rejects_non_finite_epsilon(tmp_path, capsys, value):
+    path = tmp_path / "h.rg2"
+    write_rg2(str(path), Grid2(np.random.default_rng(0).standard_normal((16, 16))))
+    out_dir = tmp_path / "sep"
+    code = run(["separate", str(path), "--dict-f", "haar2d:J=4",
+                "--dict-g", "sinusoid2d:d=16,L=3,constant=1",
+                "--epsilon", value, "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "epsilon must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_file_is_validation_error(tmp_path):
     assert run(["tv", "--in", str(tmp_path / "absent.rg2"),
                 "--out", str(tmp_path / "o.rg2"), "--weight", "1.0"]) == 1

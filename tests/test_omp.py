@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from sparsesep.dictionaries import concatenate, explicit, fourier1d, haar2d, identity, sinusoid2d
+from sparsesep.errors import ValidationError
 from sparsesep.grid import ZERO_TOL, l0_norm
 from sparsesep.omp import (
     OmpConfig,
     StackedSystem,
+    _SchurRefit,
     l0_oracle,
     omp_block,
-    omp_block_penalized,
     omp_single,
 )
 
@@ -193,59 +194,15 @@ def test_block_column_index_partition():
 
 
 # ---------------------------------------------------------------------------
-# omp_block_penalized
-
-def test_penalized_zero_weight_degenerates_to_block():
-    rng = np.random.default_rng(8)
-    sys = _random_system(rng, N=2)
-    base, _ = omp_block(sys, OmpConfig(15))
-    pen, _ = omp_block_penalized(sys, OmpConfig(15), [(0.0, sys.h[0])], base_weight=0.7)
-    assert support(pen.y_f) == support(base.y_f)
-    for yb, yp in zip(base.y_g, pen.y_g[:-1]):
-        assert support(yb) == support(yp)
-    assert support(pen.y_g[-1]) == set()
-
-
-def test_penalized_symmetric_weights_tie_break():
-    # equal weights and identical data: the shared block column for a given
-    # atom has the same correlation as the per-measurement column, and the
-    # per-measurement block wins by index order
-    A_f, A_g = haar2d(3), sinusoid2d(8, 3, False)
-    h = A_g.atom(7)
-    sys = StackedSystem(A_f, A_g, (h,))
-    pen, report = omp_block_penalized(sys, OmpConfig(3), [(1.0, h)], base_weight=1.0)
-    first = report.selected[0]
-    assert first == A_f.m + 7      # block 0 (the measurement), not the shared block
-
-
-def test_penalized_recovers_shared_ratio_block():
-    # per-measurement data share one wavelet part; the extra rows all equal a
-    # single sinusoid atom, which must land in the shared block exactly
-    A_f, A_g = haar2d(3), sinusoid2d(8, 3, False)
-    yf = np.zeros(A_f.m); yf[[3, 17]] = [1.2, -0.5]
-    shared_img = A_f.synthesize(yf)
-    N = 3
-    h = tuple(shared_img + A_g.atom(2 + i) for i in range(N))
-    h0 = tuple(shared_img + 0.9 * A_g.atom(10) for _ in range(N))
-    sys = StackedSystem(A_f, A_g, h)
-    pen, report = omp_block_penalized(
-        sys, OmpConfig(40, residual_target=1e-9), [(10.0, r) for r in h0], base_weight=1.0)
-    assert support(pen.y_g[-1]) == {10}
-    assert pen.y_g[-1][10] == pytest.approx(0.9, abs=1e-8)
-    for i in range(N):
-        assert 2 + i in support(pen.y_g[i])
-    assert support(pen.y_f) == {3, 17}
-
-
-# ---------------------------------------------------------------------------
 # the Schur-complement refit
 
-def _dense_stacked(A_f, A_g, rows, n_blocks):
-    """The weighted stacked matrix and right-hand side, materialized."""
+def _dense_stacked(A_f, A_g, h):
+    """The stacked matrix [[A_f, A_g, 0, ...], [A_f, 0, A_g, ...], ...] and
+    right-hand side, materialized."""
     Mf, Mg = A_f.to_matrix(), A_g.to_matrix()
-    blocks = [np.hstack([w * Mf] + [w * Mg if j == b else np.zeros_like(Mg) for j in range(n_blocks)])
-              for w, _, b in rows]
-    return np.vstack(blocks), np.concatenate([w * h for w, h, _ in rows])
+    N = len(h)
+    blocks = [np.hstack([Mf] + [Mg if j == i else np.zeros_like(Mg) for j in range(N)]) for i in range(N)]
+    return np.vstack(blocks), np.concatenate(h)
 
 
 def _random_orthonormal(n):
@@ -255,19 +212,15 @@ def _random_orthonormal(n):
 
 @pytest.mark.parametrize("make_f", [lambda: haar2d(3), lambda: _random_orthonormal(64)],
                          ids=["haar2d", "explicit"])
-def test_penalized_coefficients_equal_dense_weighted_lstsq(make_f):
-    # unequal row weights, a zero-weight row and forced atoms in f, in two
-    # measurement blocks and in the shared block
+def test_block_coefficients_equal_dense_lstsq(make_f):
+    # 25 atoms from f and three measurement blocks, refit by the Schur
+    # complement, against a dense least-squares fit on the same columns
     rng = np.random.default_rng(11)
     A_f, A_g = make_f(), sinusoid2d(8, 2)
-    N, m_f, m_g = 3, A_f.m, A_g.m
-    sys = StackedSystem(A_f, A_g, tuple(rng.standard_normal(64) for _ in range(N)))
-    extra = [(1.7, rng.standard_normal(64)), (0.0, rng.standard_normal(64)), (0.4, rng.standard_normal(64))]
-    warm = [3, 40, m_f + 5, m_f + 2 * m_g + 7, m_f + N * m_g + 1]
-    block, report = omp_block_penalized(sys, OmpConfig(25), extra, base_weight=0.6, warm_start=warm)
-    assert report.selected[:5].tolist() == warm and report.iterations == 25
-    rows = [(0.6, h, i) for i, h in enumerate(sys.h)] + [(w, h, N) for w, h in extra]
-    M, rhs = _dense_stacked(A_f, A_g, rows, N + 1)
+    sys = StackedSystem(A_f, A_g, tuple(rng.standard_normal(64) for _ in range(3)))
+    block, report = omp_block(sys, OmpConfig(25))
+    assert report.iterations == 25
+    M, rhs = _dense_stacked(A_f, A_g, sys.h)
     x, *_ = np.linalg.lstsq(M[:, report.selected], rhs, rcond=None)
     expected = np.zeros(M.shape[1])
     expected[report.selected] = x
@@ -275,43 +228,36 @@ def test_penalized_coefficients_equal_dense_weighted_lstsq(make_f):
 
 
 def test_dependent_constant_atom_is_rejected():
-    # The four coarsest Haar atoms sum to a constant, and so do the constant
-    # sinusoids of the two blocks: with both constants forced first, the
-    # fourth coarse Haar atom is dependent.
+    # The four coarsest Haar atoms span the constant, and so do the constant
+    # sinusoids of the two blocks together: with both constants and three
+    # coarse Haar atoms active, the fourth coarse Haar atom is dependent.
     A_f, A_g = haar2d(3), sinusoid2d(8, 2, include_constant=True)
     m_f, m_g = A_f.m, A_g.m
     const = m_g - 1
     h = (np.full(64, 1.5), np.full(64, -0.5))
-    sys = StackedSystem(A_f, A_g, h)
-    warm = [m_f + const, m_f + m_g + const, 60, 61, 62, 63]
-    block, report = omp_block_penalized(sys, OmpConfig(10), [], warm_start=warm)
-    assert report.selected.tolist() == warm[:5]
-    assert report.iterations == 0 and report.stop_reason == "stalled"
-    assert report.residuals[-1] < 1e-12
+    b_f, b_g = A_f.analyze(h[0] + h[1]), A_g.analyze_batch(np.stack(h))
+    refit = _SchurRefit(2, m_f, m_g)
+    assert refit.add_g(0, const, b_g[0, const]) and refit.add_g(1, const, b_g[1, const])
+    for k in (60, 61, 62):
+        assert refit.add_f(k, A_g.analyze(A_f.atom(k)), b_f[k])
+    y_f, y_g = refit.solve()
+    for i in range(2):
+        assert np.abs(A_f.synthesize(y_f) + A_g.synthesize(y_g[i]) - h[i]).max() < 1e-12
+    assert not refit.add_f(63, A_g.analyze(A_f.atom(63)), b_f[63])
+    y_f2, y_g2 = refit.solve()
+    assert np.array_equal(y_f2, y_f) and np.array_equal(y_g2, y_g)
     # A longer pursuit on data with a random part exhausts the independent
     # columns (64 + 25 of 114) and stops without a singular active set.
     rng = np.random.default_rng(13)
     h = tuple(c + A_f.synthesize(rng.standard_normal(m_f)) for c in h)
     block, report = omp_block(StackedSystem(A_f, A_g, h), OmpConfig(200))
-    M, rhs = _dense_stacked(A_f, A_g, [(1.0, v, i) for i, v in enumerate(h)], 2)
+    M, rhs = _dense_stacked(A_f, A_g, h)
     cols = M[:, report.selected]
     assert report.stop_reason in ("stalled", "max_iterations")
     assert len(report.selected) <= 64 + 25
     assert np.linalg.matrix_rank(cols) == len(report.selected)
     x, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
     assert np.abs(block.stacked()[report.selected] - x).max() <= 1e-10
-
-
-def test_forced_atom_in_zero_weight_block_is_rejected_and_not_counted():
-    rng = np.random.default_rng(14)
-    sys = _random_system(rng, N=2)
-    m_f, m_g = sys.A_f.m, sys.A_g.m
-    shared = m_f + 2 * m_g + 3
-    pen, report = omp_block_penalized(sys, OmpConfig(6), [(0.0, sys.h[0])], warm_start=[shared, 5])
-    assert shared not in report.selected.tolist()
-    assert report.selected[0] == 5
-    assert report.iterations == 6 and len(report.selected) == 7
-    assert support(pen.y_g[-1]) == set()
 
 
 def test_pursuit_memory_follows_work_not_budget():
@@ -348,3 +294,5 @@ def test_config_validation():
         OmpConfig(0)
     with pytest.raises(Exception):
         OmpConfig(5, residual_target=-1.0)
+    with pytest.raises(ValidationError):
+        OmpConfig(5, residual_target=float("nan"))

@@ -174,6 +174,11 @@ def test_gamma1_boundary_pinning_fixes_gauge():
     assert abs(float(np.mean(gaps))) < 1e-10
 
 
+def test_problem_rejects_nan_noise_level():
+    with pytest.raises(ValidationError):
+        small_problem(noise_level=float("nan"), n=1, d=8)
+
+
 def test_gamma1_rejects_mismatched_dictionary():
     p, mu, phis = small_problem()
     ms = synthesize_data(p)

@@ -10,6 +10,8 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         TvConfig(weight=-1.0)
     with pytest.raises(ValidationError):
+        TvConfig(weight=float("nan"))
+    with pytest.raises(ValidationError):
         TvConfig(weight=1.0, dual_step=0.3)
     with pytest.raises(ValidationError):
         TvConfig(weight=1.0, iterations=0)
