@@ -16,9 +16,21 @@ alone.  A new f atom updates S^-1 by Sherman-Morrison, a new g atom borders
 it; each costs O(k_g^2), and its pivot (the new atom's Schur complement
 against the active set) is tested against ``_REFIT_TOL``, so a dependent
 atom is rejected instead of making the system singular.  The buffers grow
-geometrically with the active set, not with the budget.  All dictionary
-applications go through the fast transforms; the stacked matrix is never
-materialized.
+geometrically with the active set, not with the budget.
+
+The pursuit scores in coefficient space and forms no residual image.  With
+b_f = A_f^T sum_i h_i and b_g^i = A_g^T h_i computed once, the correlations
+of the stacked residual are b_f - N y_f - A_f^T A_g sum_i y_g^i on the f
+block and b_g^i - y_g^i - A_g^T A_f y_f on block i.  The y terms vanish on
+the columns not yet tried, the only ones scored; the f side takes one
+synthesis of the summed g coefficients and one analysis, and A_g^T A_f y_f
+is the refit's stored cross rows times y_f.  So an iteration transforms two
+single images whatever N is.  The squared stacked residual of the exact fit
+is ||h||^2 - b^T y over the active set, O(k); near the target it loses its
+digits to cancellation, so there, and for the final per-row norms, the
+residual is synthesized instead.  This is Batch-OMP's Gram-domain update
+(Rubinstein, Zibulevsky & Elad 2008) with the Gram matrix applied through
+the fast transforms; the stacked matrix is never materialized.
 """
 
 from __future__ import annotations
@@ -35,6 +47,9 @@ from .grid import CoeffBlock
 
 #: Relative pivot below which a new atom counts as dependent on the active set.
 _REFIT_TOL = 1e-10
+#: Rounding margin, relative to ||h||^2, above the squared residual target:
+#: within it the pursuit synthesizes its residual instead of estimating it.
+_RESIDUAL_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -260,6 +275,19 @@ def omp_single(D: Dictionary, f: np.ndarray, cfg: OmpConfig):
     return coeffs, np.array(history)
 
 
+def _row_residual_sq(data: np.ndarray, A_f: Dictionary, A_g: Dictionary,
+                     y_f: np.ndarray, y_g: np.ndarray) -> np.ndarray:
+    """Squared norm of each row's residual h_i - A_f y_f - A_g y_g^i,
+    synthesized one row at a time."""
+    shared = A_f.synthesize(y_f)
+    out = np.empty(len(data))
+    for i, (h, y) in enumerate(zip(data, y_g)):
+        r = h - shared
+        r -= A_g.synthesize(y)
+        out[i] = np.einsum("i,i->", r, r)
+    return out
+
+
 def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport]:
     """Block pursuit over the stacked system; stops at the aggregate
     residual target (sqrt(N) * epsilon) or the iteration budget.
@@ -268,6 +296,12 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     the stacked residual over its column norm (sqrt(N) for f, 1 for g; ties
     break to the lowest global index), adds the best one unless it depends
     on the active set, and refits exactly.
+
+    The scores come from the refit's coefficients (see the module
+    docstring).  The stacked residual norm is estimated from the normal
+    equations until the estimate comes within ``_RESIDUAL_MARGIN * ||h||^2``
+    of the squared target; from there, and for the final entry of the
+    history and the per-row norms, each row's residual is synthesized.
     """
     A_f, A_g, N = sys.A_f, sys.A_g, sys.N
     m_f, m_g = A_f.m, A_g.m
@@ -275,6 +309,8 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     # Right-hand side of the normal equations, full index space, computed once.
     bf_full = A_f.analyze(data.sum(axis=0))
     bg_full = A_g.analyze_batch(data)
+    h_sq = float(np.einsum("ij,ij->i", data, data).sum())
+    near_target = cfg.residual_target ** 2 + _RESIDUAL_MARGIN * h_sq
 
     total_cols = m_f + N * m_g
     max_k = min(cfg.max_iterations, total_cols)
@@ -284,23 +320,27 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     score_scale = np.ones(total_cols)
     score_scale[:m_f] = 1.0 / np.sqrt(N)
     scores = np.empty(total_cols)
+    f_scores, g_scores = scores[:m_f], scores[m_f:].reshape(N, m_g)
+    cross_y = np.zeros(m_g)                                       # A_g^T A_f y_f
     selected: list[int] = []
 
     y_f, y_g = active.solve()
-    stall_tol = 0.0
+    stall_tol = 1e-12 * max(1.0, np.sqrt(h_sq))
     residuals = []
-    res_rows = np.empty_like(data)
 
     while True:
-        # Residual per row from the current exact refit.
-        g_rows = A_g.synthesize_batch(y_g)
-        np.subtract(data, A_f.synthesize(y_f) if active.n_f else 0.0, out=res_rows)
-        res_rows -= g_rows
-        row_sq = np.einsum("ij,ij->i", res_rows, res_rows)
-        stacked = float(np.sqrt(row_sq.sum()))
+        # A_g sum_i y_g^i, the g part of the f correlations.
+        g_sum = A_g.synthesize_batch(y_g.sum(axis=0, keepdims=True))[0]
+        n_f, k = active.n_f, active.n_g
+        y_F = y_f[active.f_index[:n_f]]
+        stacked_sq = (h_sq - float(active.f_rhs[:n_f] @ y_F)
+                      - float(active.g_rhs[:k] @ y_g[active.g_block[:k], active.g_beta[:k]]))
+        row_sq = None
+        if stacked_sq <= near_target:
+            row_sq = _row_residual_sq(data, A_f, A_g, y_f, y_g)
+            stacked_sq = float(row_sq.sum())
+        stacked = float(np.sqrt(stacked_sq))
         residuals.append(stacked)
-        if not residuals[:-1]:
-            stall_tol = 1e-12 * max(1.0, stacked)
         if cfg.residual_target > 0 and stacked <= cfg.residual_target:
             stop_reason = "residual"
             break
@@ -308,8 +348,12 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
             stop_reason = "max_iterations"
             break
 
-        np.abs(A_f.analyze(res_rows.sum(axis=0)), out=scores[:m_f])
-        np.abs(A_g.analyze_batch(res_rows), out=scores[m_f:].reshape(N, m_g))
+        # y_f and y_g are zero on every column not yet tried.
+        np.subtract(bf_full, A_f.analyze(g_sum), out=f_scores)
+        if n_f:
+            cross_y[active.order] = active.cross[:, :n_f] @ y_F
+        np.subtract(bg_full, cross_y, out=g_scores)
+        np.abs(scores, out=scores)
         scores *= score_scale
         gidx = int(np.argmax(scores))
         if scores[gidx] <= stall_tol:
@@ -325,6 +369,9 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
             selected.append(gidx)
             y_f, y_g = active.solve()
 
+    if row_sq is None:
+        row_sq = _row_residual_sq(data, A_f, A_g, y_f, y_g)
+        residuals[-1] = float(np.sqrt(row_sq.sum()))
     report = OmpReport(
         residuals=np.array(residuals),
         per_row_residuals=np.sqrt(row_sq),

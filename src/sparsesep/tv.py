@@ -24,8 +24,8 @@ class TvConfig:
     dual_step: float = 0.25
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ValidationError(f"weight must be positive, got {self.weight}")
+        if not 0 < self.weight < np.inf:
+            raise ValidationError(f"weight must be positive and finite, got {self.weight}")
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.dual_step <= 0.25:

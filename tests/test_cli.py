@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ def test_tv_command(tmp_path):
     write_rg2(str(inp), Grid2(rng.standard_normal((d, d))))
     assert run(["tv", "--in", str(inp), "--out", str(out), "--weight", "0.5"]) == 0
     assert out.exists()
+
+
+def test_tv_rejects_infinite_weight(tmp_path, capsys):
+    inp, out = tmp_path / "in.rg2", tmp_path / "out.rg2"
+    write_rg2(str(inp), Grid2(np.random.default_rng(1).standard_normal((16, 16))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["tv", "--in", str(inp), "--out", str(out), "--weight", "inf"]) == 1
+    assert "weight must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_conversions_round_trip(tmp_path):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsesep.dictionaries import concatenate, explicit, fourier1d, haar2d, identity, sinusoid2d
+from sparsesep.dictionaries import Dictionary, concatenate, explicit, fourier1d, haar2d, identity, sinusoid2d
 from sparsesep.errors import ValidationError
 from sparsesep.grid import ZERO_TOL, l0_norm
 from sparsesep.omp import (
@@ -225,6 +225,95 @@ def test_block_coefficients_equal_dense_lstsq(make_f):
     expected = np.zeros(M.shape[1])
     expected[report.selected] = x
     assert np.abs(block.stacked() - expected).max() <= 1e-10
+
+
+def _dense_greedy(M, rhs, col_norms, iterations):
+    """Reference greedy pursuit on the materialized stacked matrix: score
+    every untried column by |M^T r| over its norm, take the first maximum,
+    refit by dense least squares.  Returns the selection and the residual
+    norm of every fit, the empty one first."""
+    selected, residual = [], rhs.copy()
+    norms = [np.linalg.norm(residual)]
+    for _ in range(iterations):
+        scores = np.abs(M.T @ residual) / col_norms
+        scores[selected] = 0.0
+        selected.append(int(np.argmax(scores)))
+        x, *_ = np.linalg.lstsq(M[:, selected], rhs, rcond=None)
+        residual = rhs - M[:, selected] @ x
+        norms.append(np.linalg.norm(residual))
+    return np.array(selected), np.array(norms)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_block_scores_match_dense_definition(N, seed):
+    # The pursuit scores in coefficient space and estimates its residual
+    # from the normal equations; both must follow the definition on the
+    # stacked matrix.
+    rng = np.random.default_rng(seed)
+    A_f, A_g = haar2d(3), sinusoid2d(8, 3, True)
+    sys = StackedSystem(A_f, A_g, tuple(rng.standard_normal(64) for _ in range(N)))
+    _, report = omp_block(sys, OmpConfig(30))
+    M, rhs = _dense_stacked(A_f, A_g, sys.h)
+    selected, norms = _dense_greedy(M, rhs, np.linalg.norm(M, axis=0), 30)
+    assert np.array_equal(report.selected, selected)
+    assert np.abs(report.residuals - norms).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_block_tight_target_stops_on_true_residual(N):
+    # Noise-free data from 6 finest-scale Haar atoms (the first 192) shared
+    # and 3 non-constant sinusoids per measurement: at a target of
+    # 1e-8 sqrt(N) the estimated residual has cancelled to rounding noise, so
+    # the stop and the reported norms must come from the synthesized residual.
+    rng = np.random.default_rng(30)
+    A_f, A_g = haar2d(4), sinusoid2d(16, 3, True)
+    y_f = np.zeros(A_f.m)
+    y_f[rng.choice(192, 6, replace=False)] = 1.0 + rng.random(6)
+    shared = A_f.synthesize(y_f)
+    h = []
+    for _ in range(N):
+        y_g = np.zeros(A_g.m)
+        y_g[rng.choice(A_g.m - 1, 3, replace=False)] = 1.0 + rng.random(3)
+        h.append(shared + A_g.synthesize(y_g))
+    sys = StackedSystem(A_f, A_g, tuple(h))
+    block, report = omp_block(sys, OmpConfig(100, residual_target=1e-8 * np.sqrt(N)))
+    assert report.stop_reason == "residual"
+    assert report.iterations == 6 + 3 * N
+    rows = [v - A_f.synthesize(block.y_f) - A_g.synthesize(y) for v, y in zip(sys.h, block.y_g)]
+    per_row = np.array([np.sqrt(r @ r) for r in rows])
+    scale = 1e-12 * np.linalg.norm(np.concatenate(sys.h))
+    assert np.abs(report.per_row_residuals - per_row).max() <= scale
+    assert abs(report.residuals[-1] - np.sqrt(np.sum(per_row ** 2))) <= scale
+
+
+def _counting(D, counts):
+    """D with its row callables wrapped to add the rows they transform to
+    ``counts``."""
+    def wrap(fn):
+        def counted(rows):
+            counts[0] += len(rows)
+            return fn(rows)
+        return counted
+    return Dictionary(D.kind, D.n, D.m, wrap(D._analyze_rows), wrap(D._synthesize_rows), atom=D._atom)
+
+
+def test_block_transforms_per_iteration_do_not_grow_with_n():
+    # Each iteration transforms two single images whatever N is; the
+    # analysis that gives a new f atom its cross row is counted apart.
+    per_iteration = []
+    for N in (1, 5):
+        rng = np.random.default_rng(40)
+        h = tuple(rng.standard_normal(64) for _ in range(N))
+        rows = []
+        for budget in (10, 30):
+            counts = [0]
+            sys = StackedSystem(_counting(haar2d(3), counts), _counting(sinusoid2d(8, 3, True), counts), h)
+            _, report = omp_block(sys, OmpConfig(budget))
+            assert report.iterations == budget
+            rows.append(counts[0] - np.count_nonzero(report.selected < sys.A_f.m))
+        per_iteration.append((rows[1] - rows[0]) / 20)
+    assert per_iteration == [2, 2]
 
 
 def test_dependent_constant_atom_is_rejected():
