@@ -158,18 +158,19 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_dict_info(args) -> int:
     D = parse_dict_spec(args.spec)
-    print(f"kind {D.kind}")
-    print(f"n {D.n}")
-    print(f"m {D.m}")
+    lines = [f"kind {D.kind}", f"n {D.n}", f"m {D.m}"]
     if args.versus:
-        other = parse_dict_spec(args.versus)
-        print(f"coherence {dicts.mutual_coherence(D, other)!r}")
+        # Computed before anything is printed, so a failure leaves no output.
+        lines.append(f"coherence {dicts.mutual_coherence(D, parse_dict_spec(args.versus))!r}")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_separate(args) -> int:
     if not math.isfinite(args.epsilon):
         raise ValidationError(f"epsilon must be finite, got {args.epsilon}")
+    if args.epsilon < 0:
+        raise ValidationError(f"--epsilon must be nonnegative, got {args.epsilon}")
     grids = [read_rg2(p) for p in args.inputs]
     ms = MeasurementSet(tuple(grids))
     A_f = parse_dict_spec(args.dict_f)

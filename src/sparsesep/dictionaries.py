@@ -28,6 +28,22 @@ fourier1d(n)
 explicit(matrix)
     Arbitrary unit-norm columns, mostly for small-n tests.
 
+Separable forms
+---------------
+Every haar2d and sinusoid2d atom is the outer product of two unit 1D rows
+(``Separable``).  The Haar rows are, per scale j, a box over each block of
+2**j pixels and the +-1 difference over it, scaled by 2**(-j/2): 2d - 4
+rows, built in closed form on first use and cached per J
+(``haar_separable``), and both rows of an atom belong to one scale.  The
+sinusoid rows are the rows of T over their norms.  So the inner product of
+two such atoms is a product of two entries of C = R_f R_g^T, a small matrix
+(124 x 17 for haar2d(6) against sinusoid2d(64, 8)), and ``cross_gram``
+applies A_f^T A_g and A_g^T A_f through C with two matrix products per
+block of rows, without forming an image; its row k, A_g^T applied to atom k
+of A_f, is one outer product of two rows of C.  For dictionaries without a
+separable form ``cross_gram`` composes their operators; ``mutual_coherence``
+reads its maximum off the same operator.
+
 Coefficient layout (haar2d): scales j = 1 (finest) .. J-1, families 1..3 per
 scale, each a (2**(J-j))^2 block raveled with k2 slow / k1 fast; the four
 family-4 atoms sit at the very end.  Layout (sinusoid2d): families 1..4 in
@@ -44,6 +60,36 @@ import scipy.sparse as sp
 from scipy.linalg import hadamard
 
 from .errors import ValidationError
+
+
+# ---------------------------------------------------------------------------
+# Separable atoms
+
+class Separable:
+    """Atoms that are outer products of two unit 1D rows.
+
+    Unit row i is ``scale[i] * rows[i]``; ``rows`` holds the exact table
+    values.  Atom k, as a d x d image, is the outer product of unit rows
+    first[k] and second[k]: entry (r, c) is the product of their samples r
+    and c.  The rows come in consecutive groups of the given sizes (one
+    group by default) and both rows of an atom lie in one group, so the
+    atoms sit on the diagonal blocks of the n_rows x n_rows grid of row
+    pairs, one atom per cell.  ``cell`` is each atom's index on the raveled
+    grid, ``packed`` its index on the raveled diagonal blocks laid end to
+    end.
+    """
+
+    def __init__(self, rows: np.ndarray, scale: np.ndarray, first: np.ndarray, second: np.ndarray,
+                 sizes=None):
+        n = len(rows)
+        sizes = np.array(sizes if sizes is not None else [n])
+        self.rows, self.scale, self.first, self.second = rows, scale, first, second
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
+        self.offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+        group = np.searchsorted(self.bounds, first, side="right") - 1
+        lo = self.bounds[group]
+        self.cell = first * n + second
+        self.packed = self.offsets[group] + (first - lo) * sizes[group] + (second - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +159,38 @@ def _haar_row(k: int, J: int) -> np.ndarray:
     return atom
 
 
+@lru_cache(maxsize=None)
+def haar_separable(J: int) -> Separable:
+    """The Haar atoms as outer products, built in closed form and cached per
+    J.  Scale j contributes 2 * 2**(J-j) rows, scaled by 2**(-j/2): a box of
+    ones over each block of 2**j pixels, then the differences, -1 on the
+    first half of the block and +1 on the second.  Family 1 pairs a difference
+    (first coordinate) with a box, family 2 a box with a difference, family 3
+    two differences and family 4 two boxes."""
+    d = 2 ** J
+    pixel = np.arange(d)
+    rows, scale, first, second, sizes, base = [], [], [], [], [], 0
+    for j in range(1, J):
+        size, blocks = 2 ** j, 2 ** (J - j)
+        block, within = np.divmod(pixel, size)
+        table = np.zeros((2, blocks, d))
+        table[0, block, pixel] = 1.0
+        table[1, block, pixel] = np.where(within < size // 2, -1.0, 1.0)
+        rows.append(table.reshape(2 * blocks, d))
+        scale.append(np.full(2 * blocks, 2.0 ** (-j / 2)))
+        sizes.append(2 * blocks)
+        br, bc = np.divmod(np.arange(blocks * blocks), blocks)
+        box_r, box_c, diff_r, diff_c = base + br, base + bc, base + blocks + br, base + blocks + bc
+        first += [diff_r, box_r, diff_r]
+        second += [box_c, diff_c, diff_c]
+        if j == J - 1:
+            first.append(box_r)
+            second.append(box_c)
+        base += 2 * blocks
+    return Separable(np.concatenate(rows), np.concatenate(scale), np.concatenate(first),
+                     np.concatenate(second), sizes)
+
+
 # ---------------------------------------------------------------------------
 # Low-frequency real sinusoids
 
@@ -147,6 +225,13 @@ class _SinusoidTables:
         self.weights = (1.0 / np.outer(norms, norms)).ravel()[self.perm]
         self.d, self.K = d, K
         self.m = len(self.perm)
+        self.norms = norms
+
+    def separable(self) -> Separable:
+        """Atom (l2 row, l1 row) of the grid is the outer product of those
+        two rows of T over their norms."""
+        first, second = np.divmod(self.perm, self.K)
+        return Separable(self.T, 1.0 / self.norms, first, second)
 
     def analyze(self, rows: np.ndarray) -> np.ndarray:
         """Signals (batch, d*d) -> coefficients (batch, m)."""
@@ -173,12 +258,14 @@ class Dictionary:
     factories below supply the operators as two row-batch callables,
     ``analyze_rows`` (batch, n) -> (batch, m) and ``synthesize_rows``
     (batch, m) -> (batch, n); ``kind`` is only a label.  ``matrix`` is the
-    dense atom matrix when the factory already holds one, and ``atom`` a
-    closed-form k -> atom callable when the factory has one.
+    dense atom matrix when the factory already holds one; ``atom`` (k ->
+    atom k) and ``row`` (k -> row k of the atom matrix) are closed forms
+    when the factory has them, and ``separable`` is a zero-argument callable
+    returning the atoms' ``Separable`` form.
     """
 
     def __init__(self, kind: str, n: int, m: int, analyze_rows, synthesize_rows, matrix=None,
-                 atom=None):
+                 atom=None, row=None, separable=None):
         self.kind = kind
         self.n = n
         self.m = m
@@ -186,6 +273,8 @@ class Dictionary:
         self._synthesize_rows = synthesize_rows
         self._matrix = matrix
         self._atom = atom
+        self._row = row
+        self._separable = separable
 
     def __repr__(self):
         return f"Dictionary(kind={self.kind!r}, n={self.n}, m={self.m})"
@@ -226,6 +315,17 @@ class Dictionary:
         e[k] = 1.0
         return self.synthesize(e)
 
+    def row(self, k: int) -> np.ndarray:
+        """Row k of the atom matrix: sample k of every atom, the analysis of
+        the k-th unit signal."""
+        if not 0 <= k < self.n:
+            raise ValidationError(f"row index {k} out of range [0, {self.n})")
+        if self._row is not None:
+            return self._row(k)
+        e = np.zeros(self.n)
+        e[k] = 1.0
+        return self.analyze(e)
+
     def to_matrix(self) -> np.ndarray:
         """Dense (n, m) atom matrix; intended for small n."""
         if self._matrix is not None:
@@ -249,7 +349,7 @@ def haar2d(J: int) -> Dictionary:
     J = int(J)
     return Dictionary("haar2d", 4 ** J, haar_atom_count(J),
                       partial(_haar_analyze_rows, J=J), partial(_haar_synthesize_rows, J=J),
-                      atom=partial(_haar_row, J=J))
+                      atom=partial(_haar_row, J=J), separable=partial(haar_separable, J))
 
 
 def sinusoid2d(d: int, L: int, include_constant: bool = False) -> Dictionary:
@@ -258,7 +358,8 @@ def sinusoid2d(d: int, L: int, include_constant: bool = False) -> Dictionary:
     if not 1 <= L <= d // 2 - 1:
         raise ValidationError(f"sinusoid2d needs 1 <= L <= d/2 - 1 = {d // 2 - 1}, got {L}")
     tables = _SinusoidTables(int(d), int(L), bool(include_constant))
-    return Dictionary("sinusoid2d", d * d, tables.m, tables.analyze, tables.synthesize)
+    return Dictionary("sinusoid2d", d * d, tables.m, tables.analyze, tables.synthesize,
+                      separable=tables.separable)
 
 
 def identity(n: int) -> Dictionary:
@@ -320,14 +421,84 @@ def analyze_complement_norm(D: Dictionary, signal: np.ndarray) -> float:
     return float(np.linalg.norm(residual))
 
 
+class _SeparableCross:
+    """A_f^T A_g for two separable dictionaries.
+
+    With C = R_f R_g^T the inner products of their rows, <a_k, b_l> =
+    C[i_k, i_l] C[j_k, j_l].  So A_f^T A_g s places s on the grid of g row
+    pairs (S), forms C S C^T on the diagonal blocks of the f rows only, and
+    reads each f atom's cell; A_g^T A_f swaps the roles, and row k of
+    A_f^T A_g is outer(C[i_k], C[j_k]) read at the g cells.
+    """
+
+    def __init__(self, F: Separable, G: Separable):
+        self.F, self.G = F, G
+        self.C = F.scale[:, None] * (F.rows @ G.rows.T) * G.scale
+        self._to_f = self._blocks(F, self.C)
+        self._to_g = self._blocks(G, self.C.T)
+
+    @staticmethod
+    def _blocks(target: Separable, C: np.ndarray):
+        """Per diagonal block of the target: its row range, its range in the
+        packed layout and the right factor C[rows]^T, contiguous."""
+        b, o = target.bounds, target.offsets
+        return [(b[g], b[g + 1], o[g], o[g + 1], np.ascontiguousarray(C[b[g]:b[g + 1]].T))
+                for g in range(len(b) - 1)]
+
+    @staticmethod
+    def _apply(coeffs, source: Separable, target: Separable, C, blocks) -> np.ndarray:
+        n = len(source.rows)
+        grid = np.zeros((n, n))
+        flat = grid.ravel()
+        packed = np.empty(target.offsets[-1])
+        out = np.empty((len(coeffs), len(target.packed)))
+        for c, result in zip(coeffs, out):
+            flat[source.cell] = c
+            left = C @ grid
+            for lo, hi, start, stop, right in blocks:
+                np.dot(left[lo:hi], right, out=packed[start:stop].reshape(hi - lo, hi - lo))
+            result[:] = packed[target.packed]
+        return out
+
+    def synthesize(self, s: np.ndarray) -> np.ndarray:
+        return self._apply(s, self.G, self.F, self.C, self._to_f)
+
+    def analyze(self, y: np.ndarray) -> np.ndarray:
+        return self._apply(y, self.F, self.G, self.C.T, self._to_g)
+
+    def row(self, k: int) -> np.ndarray:
+        C = self.C
+        return np.outer(C[self.F.first[k]], C[self.F.second[k]]).ravel()[self.G.cell]
+
+
+def _chain(first, then, rows: np.ndarray) -> np.ndarray:
+    return then(first(rows))
+
+
+def cross_gram(A_f: Dictionary, A_g: Dictionary) -> Dictionary:
+    """The cross Gram matrix A_f^T A_g as a dictionary over the coefficient
+    space of A_f: ``synthesize`` applies A_f^T A_g, ``analyze`` A_g^T A_f,
+    and ``row(k)`` is A_g^T applied to atom k of A_f.  In closed form from
+    the 1D rows, forming no image, when both dictionaries are separable;
+    otherwise the two dictionaries' operators composed."""
+    if A_f.n != A_g.n:
+        raise ValidationError(f"dimension mismatch: {A_f.n} vs {A_g.n}")
+    kind = f"cross({A_f.kind}, {A_g.kind})"
+    if A_f._separable is not None and A_g._separable is not None:
+        op = _SeparableCross(A_f._separable(), A_g._separable())
+        return Dictionary(kind, A_f.m, A_g.m, op.analyze, op.synthesize, row=op.row)
+    return Dictionary(kind, A_f.m, A_g.m, partial(_chain, A_f._synthesize_rows, A_g._analyze_rows),
+                      partial(_chain, A_g._synthesize_rows, A_f._analyze_rows))
+
+
 def mutual_coherence(A: Dictionary, B: Dictionary, chunk: int = 128) -> float:
     """Maximum absolute inner product between atoms of A and atoms of B."""
     if A.n != B.n:
         raise ValidationError(f"dimension mismatch: {A.n} vs {B.n}")
     small, big = (A, B) if A.m <= B.m else (B, A)
+    cross = cross_gram(big, small)
     best = 0.0
     eye = np.eye(small.m)
     for start in range(0, small.m, chunk):
-        atoms = small.synthesize_batch(eye[start:start + chunk])
-        best = max(best, float(np.abs(big.analyze_batch(atoms)).max()))
+        best = max(best, float(np.abs(cross.synthesize_batch(eye[start:start + chunk])).max()))
     return best

@@ -18,19 +18,23 @@ against the active set) is tested against ``_REFIT_TOL``, so a dependent
 atom is rejected instead of making the system singular.  The buffers grow
 geometrically with the active set, not with the budget.
 
-The pursuit scores in coefficient space and forms no residual image.  With
-b_f = A_f^T sum_i h_i and b_g^i = A_g^T h_i computed once, the correlations
-of the stacked residual are b_f - N y_f - A_f^T A_g sum_i y_g^i on the f
-block and b_g^i - y_g^i - A_g^T A_f y_f on block i.  The y terms vanish on
-the columns not yet tried, the only ones scored; the f side takes one
-synthesis of the summed g coefficients and one analysis, and A_g^T A_f y_f
-is the refit's stored cross rows times y_f.  So an iteration transforms two
-single images whatever N is.  The squared stacked residual of the exact fit
-is ||h||^2 - b^T y over the active set, O(k); near the target it loses its
-digits to cancellation, so there, and for the final per-row norms, the
-residual is synthesized instead.  This is Batch-OMP's Gram-domain update
-(Rubinstein, Zibulevsky & Elad 2008) with the Gram matrix applied through
-the fast transforms; the stacked matrix is never materialized.
+The pursuit scores in coefficient space and transforms no image in its
+loop.  With b_f = A_f^T sum_i h_i and b_g^i = A_g^T h_i computed once, the
+correlations of the stacked residual are b_f - N y_f - A_f^T A_g sum_i y_g^i
+on the f block and b_g^i - y_g^i - A_g^T A_f y_f on block i.  The y terms
+vanish on the columns not yet tried, the only ones scored.  The f side
+applies the cross Gram matrix A_f^T A_g (``dictionaries.cross_gram``) once
+to the summed g coefficients; for separable dictionaries such as Haar and
+sinusoids that is two small matrix products per block of 1D rows, no
+image.  A_g^T A_f y_f is the refit's stored cross rows times y_f, and a new
+f atom's cross row is one row of the cross Gram matrix, an outer product of
+two short vectors.  So an iteration costs the same whatever N is.  The
+squared stacked residual of the exact fit is ||h||^2 - b^T y over the active
+set, O(k); near the target it loses its digits to cancellation, so there,
+and for the final per-row norms, the residual is synthesized instead.  This
+is Batch-OMP's Gram-domain update (Rubinstein, Zibulevsky & Elad 2008) with
+the cross Gram matrix applied in closed form; neither it nor the stacked
+matrix is materialized.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg.blas import dspmv, dspr
 
-from .dictionaries import Dictionary
+from .dictionaries import Dictionary, cross_gram
 from .errors import ValidationError
 from .grid import CoeffBlock
 
@@ -293,15 +297,20 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     residual target (sqrt(N) * epsilon) or the iteration budget.
 
     Each iteration scores every column not yet tried by its correlation with
-    the stacked residual over its column norm (sqrt(N) for f, 1 for g; ties
-    break to the lowest global index), adds the best one unless it depends
-    on the active set, and refits exactly.
+    the stacked residual over its column norm (sqrt(N) for f, 1 for g), adds
+    the best one unless it depends on the active set, and refits exactly.
+    Of bit-equal scores the lowest global index wins; scores that are equal
+    in exact arithmetic but differ by rounding (say, the four block-constant
+    Haar atoms against an active constant sinusoid) are ordered by the
+    rounding, so any change in the order of the arithmetic can swap them.
 
-    The scores come from the refit's coefficients (see the module
-    docstring).  The stacked residual norm is estimated from the normal
-    equations until the estimate comes within ``_RESIDUAL_MARGIN * ||h||^2``
-    of the squared target; from there, and for the final entry of the
-    history and the per-row norms, each row's residual is synthesized.
+    The scores come from the refit's coefficients and the cross Gram matrix
+    (see the module docstring); the loop's one ``synthesize_batch`` call,
+    on the cross Gram matrix, marks the top of each iteration.  The stacked
+    residual norm is estimated from the normal equations until the estimate
+    comes within ``_RESIDUAL_MARGIN * ||h||^2`` of the squared target; from
+    there, and for the final entry of the history and the per-row norms,
+    each row's residual is synthesized.
     """
     A_f, A_g, N = sys.A_f, sys.A_g, sys.N
     m_f, m_g = A_f.m, A_g.m
@@ -309,6 +318,7 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     # Right-hand side of the normal equations, full index space, computed once.
     bf_full = A_f.analyze(data.sum(axis=0))
     bg_full = A_g.analyze_batch(data)
+    gram = cross_gram(A_f, A_g)                                   # A_f^T A_g
     h_sq = float(np.einsum("ij,ij->i", data, data).sum())
     near_target = cfg.residual_target ** 2 + _RESIDUAL_MARGIN * h_sq
 
@@ -329,8 +339,8 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     residuals = []
 
     while True:
-        # A_g sum_i y_g^i, the g part of the f correlations.
-        g_sum = A_g.synthesize_batch(y_g.sum(axis=0, keepdims=True))[0]
+        # A_f^T A_g sum_i y_g^i, the g part of the f correlations.
+        g_part = gram.synthesize_batch(y_g.sum(axis=0, keepdims=True))[0]
         n_f, k = active.n_f, active.n_g
         y_F = y_f[active.f_index[:n_f]]
         stacked_sq = (h_sq - float(active.f_rhs[:n_f] @ y_F)
@@ -349,7 +359,7 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
             break
 
         # y_f and y_g are zero on every column not yet tried.
-        np.subtract(bf_full, A_f.analyze(g_sum), out=f_scores)
+        np.subtract(bf_full, g_part, out=f_scores)
         if n_f:
             cross_y[active.order] = active.cross[:, :n_f] @ y_F
         np.subtract(bg_full, cross_y, out=g_scores)
@@ -361,7 +371,7 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
             break
         score_scale[gidx] = 0.0
         if gidx < m_f:
-            added = active.add_f(gidx, A_g.analyze(A_f.atom(gidx)), bf_full[gidx])
+            added = active.add_f(gidx, gram.row(gidx), bf_full[gidx])
         else:
             block, beta = divmod(gidx - m_f, m_g)
             added = active.add_g(block, beta, bg_full[block, beta])

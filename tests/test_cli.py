@@ -33,6 +33,12 @@ def test_dict_info_coherence(capsys):
     assert "coherence 0.0625" in out
 
 
+def test_dict_info_rejects_mismatched_sizes_before_printing(capsys):
+    assert run(["dict", "info", "haar2d:J=3", "sinusoid2d:d=16,L=3"]) == 1
+    captured = capsys.readouterr()
+    assert "dimension mismatch" in captured.err and captured.out == ""
+
+
 def test_dict_spec_errors():
     assert run(["dict", "info", "nosuch:J=3"]) == 1
     assert run(["dict", "info", "haar2d:J=x"]) == 1
@@ -220,6 +226,19 @@ def test_separate_rejects_non_finite_epsilon(tmp_path, capsys, value):
                 "--epsilon", value, "--out-dir", str(out_dir)])
     assert code == 1
     assert "epsilon must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_separate_rejects_negative_epsilon(tmp_path, capsys):
+    path = tmp_path / "h.rg2"
+    write_rg2(str(path), Grid2(np.random.default_rng(0).standard_normal((16, 16))))
+    out_dir = tmp_path / "sep"
+    code = run(["separate", str(path), "--dict-f", "haar2d:J=4",
+                "--dict-g", "sinusoid2d:d=16,L=3,constant=1",
+                "--epsilon", "-1", "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--epsilon must be nonnegative" in err and "residual_target" not in err
     assert not out_dir.exists()
 
 

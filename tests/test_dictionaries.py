@@ -7,6 +7,7 @@ import pytest
 from sparsesep.dictionaries import (
     analyze_complement_norm,
     concatenate,
+    cross_gram,
     explicit,
     fourier1d,
     haar2d,
@@ -320,6 +321,37 @@ def test_complement_norm_pythagoras():
     s = rng.standard_normal(D.n)
     s_perp = s - D.synthesize(D.analyze(s))
     assert analyze_complement_norm(D, s_perp) == pytest.approx(np.linalg.norm(s_perp), rel=1e-9)
+
+
+_CROSS_PAIRS = {
+    "haar2d-sinusoid2d": lambda J: (haar2d(J), sinusoid2d(2 ** J, 2 ** (J - 1) - 1, False)),
+    "haar2d-sinusoid2d-constant": lambda J: (haar2d(J), sinusoid2d(2 ** J, 2 ** (J - 2), True)),
+    "sinusoid2d-haar2d": lambda J: (sinusoid2d(2 ** J, 2 ** (J - 2), True), haar2d(J)),
+    "haar2d-haar2d": lambda J: (haar2d(J), haar2d(J)),
+    "sinusoid2d-sinusoid2d": lambda J: (sinusoid2d(2 ** J, 1, True), sinusoid2d(2 ** J, 2 ** (J - 1) - 1, False)),
+    "haar2d-identity": lambda J: (haar2d(J), identity(4 ** J)),
+}
+
+
+@pytest.mark.parametrize("J", [2, 3, 6])
+@pytest.mark.parametrize("pair", list(_CROSS_PAIRS))
+def test_cross_gram_equals_composition(pair, J):
+    A_f, A_g = _CROSS_PAIRS[pair](J)
+    cross = cross_gram(A_f, A_g)
+    assert (cross.n, cross.m) == (A_f.m, A_g.m)
+    rng = np.random.default_rng(J)
+    s = rng.standard_normal((3, A_g.m))
+    y = rng.standard_normal((3, A_f.m))
+    assert np.abs(cross.synthesize_batch(s) - A_f.analyze_batch(A_g.synthesize_batch(s))).max() < 1e-12
+    assert np.abs(cross.analyze_batch(y) - A_g.analyze_batch(A_f.synthesize_batch(y))).max() < 1e-12
+    assert np.abs(cross.synthesize(s[0]) - A_f.analyze(A_g.synthesize(s[0]))).max() < 1e-12
+    for k in range(0, A_f.m, 1 if J < 6 else 29):
+        assert np.abs(cross.row(k) - A_g.analyze(A_f.atom(k))).max() < 1e-12
+
+
+def test_cross_gram_dimension_mismatch():
+    with pytest.raises(ValidationError):
+        cross_gram(haar2d(3), sinusoid2d(16, 3))
 
 
 def test_spike_flat_coherence():
