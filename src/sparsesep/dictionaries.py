@@ -7,16 +7,12 @@ haar2d(J)
     Four families per scale: sign split along x2 (family 1), along x1
     (family 2), checkerboard (family 3) and the constant-on-block family 4
     kept only at the coarsest scale j = J-1.  Values are +-2**-j on a
-    2**j x 2**j block.  Analyze/synthesize apply the sparse analysis matrix
-    H (CSR, 4**J (3(J-1) + 1) nonzeros, built in closed form on first use
-    and cached per J) and its transpose view; atom k is row k of H.
+    2**j x 2**j block.
 sinusoid2d(d, L, include_constant)
     Orthonormal set of low-frequency real sinusoids sampled at integer pixels
     alpha in {1..d}^2 with arguments 2*pi*l*alpha/d: the four sin/cos product
     families with frequencies up to L, each normalized to unit norm, plus an
-    optional constant atom of value 1/d.  m = 4L^2 + 4L (+1).  With the
-    sin and cos rows stacked in one (2L+1, d) table T, analyze is T X T^T
-    and synthesize T^T M T: two matrix products per direction, O(n*L).
+    optional constant atom of value 1/d.  m = 4L^2 + 4L (+1).
 identity(n)
     Spike basis.
 fourier1d(n)
@@ -30,19 +26,22 @@ explicit(matrix)
 
 Separable forms
 ---------------
-Every haar2d and sinusoid2d atom is the outer product of two unit 1D rows
-(``Separable``).  The Haar rows are, per scale j, a box over each block of
-2**j pixels and the +-1 difference over it, scaled by 2**(-j/2): 2d - 4
-rows, built in closed form on first use and cached per J
-(``haar_separable``), and both rows of an atom belong to one scale.  The
-sinusoid rows are the rows of T over their norms.  So the inner product of
-two such atoms is a product of two entries of C = R_f R_g^T, a small matrix
-(124 x 17 for haar2d(6) against sinusoid2d(64, 8)), and ``cross_gram``
-applies A_f^T A_g and A_g^T A_f through C with two matrix products per
-block of rows, without forming an image; its row k, A_g^T applied to atom k
-of A_f, is one outer product of two rows of C.  For dictionaries without a
-separable form ``cross_gram`` composes their operators; ``mutual_coherence``
-reads its maximum off the same operator.
+Every haar2d and sinusoid2d atom is a weighted outer product of two 1D rows
+(``Separable``), and so is every pixel of a d x d image, with the rows of
+the d x d identity.  The Haar rows are, per scale j, a box of ones over each
+block of 2**j pixels and the -1/+1 difference over it, with the exact
+weight 2**-j per scale (``haar_separable``); the sinusoid rows are the sin
+and cos rows over their norms, weight 1 (``sinusoid_separable``).  Both rows
+of an atom belong to one group of rows.  So the inner product of two such
+atoms is their weights times a product of two entries of C = R_t R_s^T,
+and one routine, ``Transfer``, maps coefficients over any source set to
+inner products with every atom of any target set with two matrix products
+per pair of row groups.  Analyze is pixels -> atoms, synthesize atoms ->
+pixels, and ``cross_gram`` applies A_f^T A_g as A_g -> A_f and A_g^T A_f as
+A_f -> A_g, without forming an image; its row k is one outer product of two
+rows of C.  Everything is built in closed form on first use and cached.
+For dictionaries without a separable form ``cross_gram`` composes their
+operators; ``mutual_coherence`` reads its maximum off the same operator.
 
 Coefficient layout (haar2d): scales j = 1 (finest) .. J-1, families 1..3 per
 scale, each a (2**(J-j))^2 block raveled with k2 slow / k1 fast; the four
@@ -56,120 +55,73 @@ from functools import lru_cache, partial
 from operator import methodcaller
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import hadamard
 
 from .errors import ValidationError
+
+#: Unit coefficient vectors per ``mutual_coherence`` apply.
+_COHERENCE_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
 # Separable atoms
 
 class Separable:
-    """Atoms that are outer products of two unit 1D rows.
+    """Atoms that are weighted outer products of two 1D rows.
 
-    Unit row i is ``scale[i] * rows[i]``; ``rows`` holds the exact table
-    values.  Atom k, as a d x d image, is the outer product of unit rows
-    first[k] and second[k]: entry (r, c) is the product of their samples r
-    and c.  The rows come in consecutive groups of the given sizes (one
-    group by default) and both rows of an atom lie in one group, so the
-    atoms sit on the diagonal blocks of the n_rows x n_rows grid of row
-    pairs, one atom per cell.  ``cell`` is each atom's index on the raveled
-    grid, ``packed`` its index on the raveled diagonal blocks laid end to
-    end.
+    Atom k, as a d x d image, is ``weight[k]`` times the outer product of
+    rows first[k] and second[k]: entry (r, c) is the product of their samples
+    r and c.  The rows come in consecutive groups of the given sizes (one
+    group by default), each with one of ``weights``, and both rows of an
+    atom lie in one group, so the atoms sit on the diagonal blocks of the
+    n_rows x n_rows grid of row pairs, one atom per cell.  ``cell`` is each
+    atom's index on the raveled grid, ``packed`` its index on the raveled
+    diagonal blocks laid end to end; ``in_order`` says that atom k is packed
+    cell k of a full layout (the pixels), so coefficients need no
+    reordering.
     """
 
-    def __init__(self, rows: np.ndarray, scale: np.ndarray, first: np.ndarray, second: np.ndarray,
+    def __init__(self, rows: np.ndarray, weights, first: np.ndarray, second: np.ndarray,
                  sizes=None):
         n = len(rows)
         sizes = np.array(sizes if sizes is not None else [n])
-        self.rows, self.scale, self.first, self.second = rows, scale, first, second
+        self.rows, self.first, self.second = rows, first, second
+        self.weights = np.asarray(weights, dtype=np.float64)
         self.bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
         group = np.searchsorted(self.bounds, first, side="right") - 1
         lo = self.bounds[group]
+        self.weight = self.weights[group]
         self.cell = first * n + second
         self.packed = self.offsets[group] + (first - lo) * sizes[group] + (second - lo)
+        self.in_order = np.array_equal(self.packed, np.arange(self.offsets[-1]))
 
-
-# ---------------------------------------------------------------------------
-# 2D Haar analysis matrix
-
-def haar_atom_count(J: int) -> int:
-    return 4 ** J
-
-
-@lru_cache(maxsize=None)
-def haar_matrix(J: int) -> sp.csr_array:
-    """The analysis matrix H (atoms as rows, 4**J x 4**J) in CSR, built in
-    closed form from index arithmetic and cached per J.  Atom k at scale j
-    fills one 2**j x 2**j block with +-2**-j, so H holds
-    4**J * (3(J-1) + 1) nonzeros."""
-    d = 2 ** J
-    index = np.int32 if 4 ** J * (3 * (J - 1) + 1) < 2 ** 31 else np.int64
-    indices, values, lengths = [], [], []
-
-    def scale(j, detail):
-        size, half, blocks = 2 ** j, 2 ** (j - 1), 2 ** (J - j)
-        r, c = np.divmod(np.arange(size * size, dtype=index), size)          # pixel within a block
-        br, bc = np.divmod(np.arange(blocks * blocks, dtype=index), blocks)  # block, k2 slow / k1 fast
-        cols = ((br * size * d + bc * size)[:, None] + (r * d + c)[None, :]).ravel()
-        low, right = r >= half, c >= half
-        # Families 1..3 split along x2, along x1 and as a checkerboard;
-        # family 4 is constant on its block.
-        if detail:
-            signs = (2.0 * low - 1, 2.0 * right - 1, 1 - 2.0 * (low ^ right))
-        else:
-            signs = (np.ones(size * size),)
-        for sign in signs:
-            indices.append(cols)
-            values.append(np.tile(sign * 2.0 ** (-j), blocks * blocks))
-            lengths.append(np.full(blocks * blocks, size * size))
-
-    for j in range(1, J):
-        scale(j, True)
-    scale(J - 1, False)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))]).astype(index)
-    return sp.csr_array((np.concatenate(values), np.concatenate(indices), indptr), shape=(d * d, d * d))
-
-
-def _haar_analyze_rows(rows: np.ndarray, J: int) -> np.ndarray:
-    """Signals (batch, 4**J) -> coefficients (batch, 4**J)."""
-    return (haar_matrix(J) @ rows.T).T
+    def atom(self, k: int) -> np.ndarray:
+        """Atom k, raveled, with the rounding of ``Transfer``; adding 0.0
+        turns the -0.0 of a negative sample times a zero into the +0.0 that
+        its sums give."""
+        outer = np.outer(self.weight[k] * self.rows[self.first[k]], self.rows[self.second[k]])
+        return (outer + 0.0).ravel()
 
 
 @lru_cache(maxsize=None)
-def _haar_transpose(J: int) -> sp.csc_array:
-    """H^T as a CSC view of H's arrays, without a second copy.  Cached:
-    making the view costs about a third of one product."""
-    return haar_matrix(J).T
-
-
-def _haar_synthesize_rows(y: np.ndarray, J: int) -> np.ndarray:
-    """Coefficients (batch, 4**J) -> signals (batch, 4**J)."""
-    return (_haar_transpose(J) @ y.T).T
-
-
-def _haar_row(k: int, J: int) -> np.ndarray:
-    """Atom k: row k of H, dense."""
-    H = haar_matrix(J)
-    lo, hi = H.indptr[k], H.indptr[k + 1]
-    atom = np.zeros(H.shape[1])
-    atom[H.indices[lo:hi]] = H.data[lo:hi]
-    return atom
+def pixel_separable(d: int) -> Separable:
+    """The pixel basis of a d x d image: rows of the identity, one group."""
+    first, second = np.divmod(np.arange(d * d), d)
+    return Separable(np.eye(d), [1.0], first, second)
 
 
 @lru_cache(maxsize=None)
 def haar_separable(J: int) -> Separable:
     """The Haar atoms as outer products, built in closed form and cached per
-    J.  Scale j contributes 2 * 2**(J-j) rows, scaled by 2**(-j/2): a box of
-    ones over each block of 2**j pixels, then the differences, -1 on the
-    first half of the block and +1 on the second.  Family 1 pairs a difference
-    (first coordinate) with a box, family 2 a box with a difference, family 3
-    two differences and family 4 two boxes."""
+    J.  Scale j contributes a group of 2 * 2**(J-j) rows with weight 2**-j:
+    a box of ones over each block of 2**j pixels, then the differences, -1
+    on the first half of the block and +1 on the second.  Family 1 pairs a
+    difference (first coordinate) with a box, family 2 a box with a
+    difference, family 3 two differences and family 4 two boxes."""
     d = 2 ** J
     pixel = np.arange(d)
-    rows, scale, first, second, sizes, base = [], [], [], [], [], 0
+    rows, weights, first, second, sizes, base = [], [], [], [], [], 0
     for j in range(1, J):
         size, blocks = 2 ** j, 2 ** (J - j)
         block, within = np.divmod(pixel, size)
@@ -177,7 +129,7 @@ def haar_separable(J: int) -> Separable:
         table[0, block, pixel] = 1.0
         table[1, block, pixel] = np.where(within < size // 2, -1.0, 1.0)
         rows.append(table.reshape(2 * blocks, d))
-        scale.append(np.full(2 * blocks, 2.0 ** (-j / 2)))
+        weights.append(2.0 ** -j)
         sizes.append(2 * blocks)
         br, bc = np.divmod(np.arange(blocks * blocks), blocks)
         box_r, box_c, diff_r, diff_c = base + br, base + bc, base + blocks + br, base + blocks + bc
@@ -187,64 +139,101 @@ def haar_separable(J: int) -> Separable:
             first.append(box_r)
             second.append(box_c)
         base += 2 * blocks
-    return Separable(np.concatenate(rows), np.concatenate(scale), np.concatenate(first),
-                     np.concatenate(second), sizes)
+    return Separable(np.concatenate(rows), weights, np.concatenate(first), np.concatenate(second),
+                     sizes)
 
 
-# ---------------------------------------------------------------------------
-# Low-frequency real sinusoids
+@lru_cache(maxsize=None)
+def sinusoid_separable(d: int, L: int, include_constant: bool) -> Separable:
+    """The sinusoid atoms as outer products, cached per (d, L, constant).
 
-class _SinusoidTables:
-    """The sampled sin/cos table, the per-atom normalizers and the layout.
+    The rows are sin(2 pi l alpha / d), l = 1..L, then cos(2 pi l alpha / d),
+    l = 0..L, each over its norm; the atoms are the products (l2 row, l1
+    row) of the four families, in coefficient order."""
+    alpha = np.arange(1, d + 1, dtype=np.float64)
+    ls = np.arange(1, L + 1, dtype=np.float64)
+    lc = np.arange(0, L + 1, dtype=np.float64)
+    T = np.concatenate([np.sin(2.0 * np.pi * np.outer(ls, alpha) / d),
+                        np.cos(2.0 * np.pi * np.outer(lc, alpha) / d)])
+    K = 2 * L + 1
+    grid = np.arange(K * K).reshape(K, K)
+    # Families: sin x sin, cos x sin, sin x cos, cos x cos without (0, 0),
+    # then the constant atom, which is cos 0 x cos 0.
+    parts = [grid[:L, :L], grid[L:, :L], grid[:L, L:], grid[L:, L:].ravel()[1:]]
+    if include_constant:
+        parts.append(grid[L, L])
+    first, second = np.divmod(np.concatenate([np.ravel(p) for p in parts]), K)
+    return Separable(T / np.linalg.norm(T, axis=1, keepdims=True), [1.0], first, second)
 
-    T stacks sin(2 pi l alpha / d), l = 1..L, over cos(2 pi l alpha / d),
-    l = 0..L: a (2L+1, d) table.  Every atom is a normalized outer product
-    of two rows of T, so T X T^T holds the inner products of a signal X with
-    all of them (and more) on a (2L+1)^2 grid indexed [l2 row, l1 row];
-    ``perm`` picks the atoms from that grid in coefficient order and
-    ``weights`` holds their normalizers.
+
+class Transfer:
+    """Coefficients over the source atoms -> inner products with every
+    target atom, for two ``Separable`` sets over the same d x d grid.
+
+    With C = R_t R_s^T the inner products of their rows, target atom k and
+    source atom l meet in w_k w_l C[i_k, i_l] C[j_k, j_l].  So target group
+    t receives, summed over the source groups s, w_t w_s C_ts Y_s C_ts^T,
+    where Y_s is the coefficients placed on group s's grid of row pairs and
+    C_ts the block of C between the two groups; each target atom reads its
+    cell.  The weights are folded into the left factors, one stacked over
+    all target rows per source group, when the transfer is built.
     """
 
-    def __init__(self, d: int, L: int, include_constant: bool):
-        alpha = np.arange(1, d + 1, dtype=np.float64)
-        ls = np.arange(1, L + 1, dtype=np.float64)
-        lc = np.arange(0, L + 1, dtype=np.float64)
-        self.T = np.concatenate([np.sin(2.0 * np.pi * np.outer(ls, alpha) / d),
-                                 np.cos(2.0 * np.pi * np.outer(lc, alpha) / d)])
-        norms = np.linalg.norm(self.T, axis=1)
-        if norms.min() < 1e-9:
-            raise ValidationError("degenerate all-zero sampled sinusoid")
-        K = 2 * L + 1
-        grid = np.arange(K * K).reshape(K, K)
-        # Families: sin x sin, cos x sin, sin x cos, cos x cos without (0, 0),
-        # then the constant atom, which is cos 0 x cos 0.
-        parts = [grid[:L, :L], grid[L:, :L], grid[:L, L:], grid[L:, L:].ravel()[1:]]
-        if include_constant:
-            parts.append(grid[L, L])
-        self.perm = np.concatenate([np.ravel(p) for p in parts])
-        self.weights = (1.0 / np.outer(norms, norms)).ravel()[self.perm]
-        self.d, self.K = d, K
-        self.m = len(self.perm)
-        self.norms = norms
+    def __init__(self, source: Separable, target: Separable):
+        self.source, self.target = source, target
+        C = target.rows @ source.rows.T
+        tb, sb = target.bounds, source.bounds
+        # C with the target weights on its rows, and C with the source weights
+        # on its columns: row k of the transfer is an outer product of the two.
+        self.C_t = np.repeat(target.weights, np.diff(tb))[:, None] * C
+        self.C_s = C * np.repeat(source.weights, np.diff(sb))
+        self.blocks = []
+        for s in range(len(sb) - 1):
+            cols = C[:, sb[s]:sb[s + 1]]
+            parts = [(tb[t], tb[t + 1], target.offsets[t], target.offsets[t + 1],
+                      np.ascontiguousarray(cols[tb[t]:tb[t + 1]].T)) for t in range(len(tb) - 1)]
+            self.blocks.append((source.offsets[s], source.offsets[s + 1], sb[s + 1] - sb[s],
+                                self.C_t[:, sb[s]:sb[s + 1]] * source.weights[s], parts))
 
-    def separable(self) -> Separable:
-        """Atom (l2 row, l1 row) of the grid is the outer product of those
-        two rows of T over their norms."""
-        first, second = np.divmod(self.perm, self.K)
-        return Separable(self.T, 1.0 / self.norms, first, second)
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        """(batch, m_source) -> (batch, m_target)."""
+        source, target = self.source, self.target
+        out = np.empty((len(coeffs), len(target.packed)))
+        grid = None if source.in_order else np.zeros(source.offsets[-1])
+        packed = None if target.in_order else np.empty(target.offsets[-1])
+        for c, result in zip(coeffs, out):
+            if source.in_order:
+                grid = c
+            else:
+                grid[source.packed] = c
+            if target.in_order:
+                packed = result
+            for index, (lo, hi, size, left, parts) in enumerate(self.blocks):
+                half = np.dot(left, grid[lo:hi].reshape(size, size))
+                for r0, r1, o0, o1, right in parts:
+                    block = packed[o0:o1].reshape(r1 - r0, r1 - r0)
+                    if index:
+                        block += np.dot(half[r0:r1], right)
+                    else:
+                        np.dot(half[r0:r1], right, out=block)
+            if not target.in_order:
+                result[:] = packed[target.packed]
+        return out
 
-    def analyze(self, rows: np.ndarray) -> np.ndarray:
-        """Signals (batch, d*d) -> coefficients (batch, m)."""
-        x = rows.reshape(-1, self.d, self.d)
-        grid = self.T @ x @ self.T.T
-        return grid.reshape(len(x), -1)[:, self.perm] * self.weights
+    def row(self, k: int) -> np.ndarray:
+        """Inner products of target atom k with every source atom."""
+        t = self.target
+        return np.outer(self.C_t[t.first[k]], self.C_s[t.second[k]]).ravel()[self.source.cell]
 
-    def synthesize(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients (batch, m) -> signals (batch, d*d)."""
-        grid = np.zeros((len(y), self.K * self.K))
-        grid[:, self.perm] = y * self.weights
-        x = self.T.T @ grid.reshape(-1, self.K, self.K) @ self.T
-        return x.reshape(len(y), -1)
+
+@lru_cache(maxsize=None)
+def _transfer(source: Separable, target: Separable) -> Transfer:
+    """One transfer per pair of cached atom sets."""
+    return Transfer(source, target)
+
+
+def _transfer_rows(coeffs: np.ndarray, source, target) -> np.ndarray:
+    return _transfer(source(), target())(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +247,20 @@ class Dictionary:
     factories below supply the operators as two row-batch callables,
     ``analyze_rows`` (batch, n) -> (batch, m) and ``synthesize_rows``
     (batch, m) -> (batch, n); ``kind`` is only a label.  ``matrix`` is the
-    dense atom matrix when the factory already holds one; ``atom`` (k ->
-    atom k) and ``row`` (k -> row k of the atom matrix) are closed forms
-    when the factory has them, and ``separable`` is a zero-argument callable
-    returning the atoms' ``Separable`` form.
+    dense atom matrix when the factory already holds one; ``row`` (k -> row
+    k of the atom matrix) is a closed form when the factory has one, and
+    ``separable`` is a zero-argument callable returning the atoms'
+    ``Separable`` form, which also gives atom k in closed form.
     """
 
     def __init__(self, kind: str, n: int, m: int, analyze_rows, synthesize_rows, matrix=None,
-                 atom=None, row=None, separable=None):
+                 row=None, separable=None):
         self.kind = kind
         self.n = n
         self.m = m
         self._analyze_rows = analyze_rows
         self._synthesize_rows = synthesize_rows
         self._matrix = matrix
-        self._atom = atom
         self._row = row
         self._separable = separable
 
@@ -309,8 +297,8 @@ class Dictionary:
             raise ValidationError(f"atom index {k} out of range [0, {self.m})")
         if self._matrix is not None:
             return self._matrix[:, k].copy()
-        if self._atom is not None:
-            return self._atom(k)
+        if self._separable is not None:
+            return self._separable().atom(k)
         e = np.zeros(self.m)
         e[k] = 1.0
         return self.synthesize(e)
@@ -343,30 +331,48 @@ class Dictionary:
 # ---------------------------------------------------------------------------
 # Factories
 
+def _size(kind: str, value) -> int:
+    """An integer size argument as an int; anything else, bools included,
+    raises."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{kind} needs integer sizes, got {value!r}")
+    return int(value)
+
+
+def _separable_dictionary(kind: str, d: int, m: int, separable) -> Dictionary:
+    """A dictionary of m atoms over d x d images, the ones ``separable()``
+    returns; nothing is built until first use."""
+    pixels = partial(pixel_separable, d)
+    return Dictionary(kind, d * d, m,
+                      partial(_transfer_rows, source=pixels, target=separable),
+                      partial(_transfer_rows, source=separable, target=pixels),
+                      separable=separable)
+
+
 def haar2d(J: int) -> Dictionary:
-    if not (isinstance(J, (int, np.integer)) and J >= 2):
+    J = _size("haar2d", J)
+    if J < 2:
         raise ValidationError(f"haar2d needs an integer J >= 2, got {J!r}")
-    J = int(J)
-    return Dictionary("haar2d", 4 ** J, haar_atom_count(J),
-                      partial(_haar_analyze_rows, J=J), partial(_haar_synthesize_rows, J=J),
-                      atom=partial(_haar_row, J=J), separable=partial(haar_separable, J))
+    return _separable_dictionary("haar2d", 2 ** J, 4 ** J, partial(haar_separable, J))
 
 
 def sinusoid2d(d: int, L: int, include_constant: bool = False) -> Dictionary:
+    d, L = _size("sinusoid2d", d), _size("sinusoid2d", L)
     if d < 4 or d % 2:
         raise ValidationError(f"sinusoid2d needs even d >= 4, got {d}")
     if not 1 <= L <= d // 2 - 1:
         raise ValidationError(f"sinusoid2d needs 1 <= L <= d/2 - 1 = {d // 2 - 1}, got {L}")
-    tables = _SinusoidTables(int(d), int(L), bool(include_constant))
-    return Dictionary("sinusoid2d", d * d, tables.m, tables.analyze, tables.synthesize,
-                      separable=tables.separable)
+    include_constant = bool(include_constant)
+    return _separable_dictionary("sinusoid2d", d, 4 * L * L + 4 * L + include_constant,
+                                 partial(sinusoid_separable, d, L, include_constant))
 
 
 def identity(n: int) -> Dictionary:
+    n = _size("identity", n)
     if n < 1:
         raise ValidationError(f"identity needs n >= 1, got {n}")
     copy_rows = methodcaller("copy")
-    return Dictionary("identity", int(n), int(n), copy_rows, copy_rows)
+    return Dictionary("identity", n, n, copy_rows, copy_rows)
 
 
 def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -379,9 +385,10 @@ def _matrix_dictionary(kind: str, mat: np.ndarray) -> Dictionary:
 
 
 def fourier1d(n: int) -> Dictionary:
+    n = _size("fourier1d", n)
     if n < 2 or n & (n - 1):
         raise ValidationError(f"fourier1d needs n a power of two >= 2, got {n}")
-    return _matrix_dictionary("fourier1d", hadamard(int(n)).astype(np.float64) / np.sqrt(n))
+    return _matrix_dictionary("fourier1d", hadamard(n).astype(np.float64) / np.sqrt(n))
 
 
 def explicit(matrix: np.ndarray) -> Dictionary:
@@ -421,56 +428,6 @@ def analyze_complement_norm(D: Dictionary, signal: np.ndarray) -> float:
     return float(np.linalg.norm(residual))
 
 
-class _SeparableCross:
-    """A_f^T A_g for two separable dictionaries.
-
-    With C = R_f R_g^T the inner products of their rows, <a_k, b_l> =
-    C[i_k, i_l] C[j_k, j_l].  So A_f^T A_g s places s on the grid of g row
-    pairs (S), forms C S C^T on the diagonal blocks of the f rows only, and
-    reads each f atom's cell; A_g^T A_f swaps the roles, and row k of
-    A_f^T A_g is outer(C[i_k], C[j_k]) read at the g cells.
-    """
-
-    def __init__(self, F: Separable, G: Separable):
-        self.F, self.G = F, G
-        self.C = F.scale[:, None] * (F.rows @ G.rows.T) * G.scale
-        self._to_f = self._blocks(F, self.C)
-        self._to_g = self._blocks(G, self.C.T)
-
-    @staticmethod
-    def _blocks(target: Separable, C: np.ndarray):
-        """Per diagonal block of the target: its row range, its range in the
-        packed layout and the right factor C[rows]^T, contiguous."""
-        b, o = target.bounds, target.offsets
-        return [(b[g], b[g + 1], o[g], o[g + 1], np.ascontiguousarray(C[b[g]:b[g + 1]].T))
-                for g in range(len(b) - 1)]
-
-    @staticmethod
-    def _apply(coeffs, source: Separable, target: Separable, C, blocks) -> np.ndarray:
-        n = len(source.rows)
-        grid = np.zeros((n, n))
-        flat = grid.ravel()
-        packed = np.empty(target.offsets[-1])
-        out = np.empty((len(coeffs), len(target.packed)))
-        for c, result in zip(coeffs, out):
-            flat[source.cell] = c
-            left = C @ grid
-            for lo, hi, start, stop, right in blocks:
-                np.dot(left[lo:hi], right, out=packed[start:stop].reshape(hi - lo, hi - lo))
-            result[:] = packed[target.packed]
-        return out
-
-    def synthesize(self, s: np.ndarray) -> np.ndarray:
-        return self._apply(s, self.G, self.F, self.C, self._to_f)
-
-    def analyze(self, y: np.ndarray) -> np.ndarray:
-        return self._apply(y, self.F, self.G, self.C.T, self._to_g)
-
-    def row(self, k: int) -> np.ndarray:
-        C = self.C
-        return np.outer(C[self.F.first[k]], C[self.F.second[k]]).ravel()[self.G.cell]
-
-
 def _chain(first, then, rows: np.ndarray) -> np.ndarray:
     return then(first(rows))
 
@@ -485,13 +442,14 @@ def cross_gram(A_f: Dictionary, A_g: Dictionary) -> Dictionary:
         raise ValidationError(f"dimension mismatch: {A_f.n} vs {A_g.n}")
     kind = f"cross({A_f.kind}, {A_g.kind})"
     if A_f._separable is not None and A_g._separable is not None:
-        op = _SeparableCross(A_f._separable(), A_g._separable())
-        return Dictionary(kind, A_f.m, A_g.m, op.analyze, op.synthesize, row=op.row)
+        F, G = A_f._separable(), A_g._separable()
+        to_f = _transfer(G, F)
+        return Dictionary(kind, A_f.m, A_g.m, _transfer(F, G), to_f, row=to_f.row)
     return Dictionary(kind, A_f.m, A_g.m, partial(_chain, A_f._synthesize_rows, A_g._analyze_rows),
                       partial(_chain, A_g._synthesize_rows, A_f._analyze_rows))
 
 
-def mutual_coherence(A: Dictionary, B: Dictionary, chunk: int = 128) -> float:
+def mutual_coherence(A: Dictionary, B: Dictionary) -> float:
     """Maximum absolute inner product between atoms of A and atoms of B."""
     if A.n != B.n:
         raise ValidationError(f"dimension mismatch: {A.n} vs {B.n}")
@@ -499,6 +457,6 @@ def mutual_coherence(A: Dictionary, B: Dictionary, chunk: int = 128) -> float:
     cross = cross_gram(big, small)
     best = 0.0
     eye = np.eye(small.m)
-    for start in range(0, small.m, chunk):
-        best = max(best, float(np.abs(cross.synthesize_batch(eye[start:start + chunk])).max()))
+    for start in range(0, small.m, _COHERENCE_CHUNK):
+        best = max(best, float(np.abs(cross.synthesize_batch(eye[start:start + _COHERENCE_CHUNK])).max()))
     return best

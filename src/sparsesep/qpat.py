@@ -334,7 +334,8 @@ class GammaVarConfig:
     absorption average (3c).  Each outer pass starts from forward solutions
     of the current iterates and runs no pursuit, so ``budget_step3`` has no
     effect; it is kept so that callers which pass it keep working.
-    ``boundary_band`` must satisfy 0 <= band < d/2.
+    ``boundary_band`` must satisfy 0 <= band < d/2.  Both recoveries smooth
+    their inputs with a Gaussian of one pixel.
     """
 
     mu0: Grid2
@@ -347,8 +348,6 @@ class GammaVarConfig:
     boundary_band: int = 4
     tv_weight: float | None = None
     tv_iterations: int = 100
-    smooth_sigma: float = 1.0
-    det_threshold: float = 1e-8
     initial_D: Grid2 | None = None      # warm start: skip the first diffusion recovery
 
     def __post_init__(self):
@@ -416,8 +415,7 @@ def reconstruct_gammavar(
         ub = u_base.values
         u_b = Grid2(ub * np.exp(h_img[tb] - h_img[ta]))
         u_c = Grid2(ub * np.exp(h_img[tc] - h_img[ta]))
-        return recover_log_D(u_base, u_b, u_c, cfg.anchor,
-                             det_threshold=cfg.det_threshold, smooth_sigma=cfg.smooth_sigma)
+        return recover_log_D(u_base, u_b, u_c, cfg.anchor, smooth_sigma=1.0)
 
     # Step (2): first diffusion estimate from the gradient-independent triple.
     if cfg.initial_D is not None:
@@ -470,7 +468,7 @@ def reconstruct_gammavar(
 
 def _mu_step(D: Grid2, u_list, cfg: GammaVarConfig) -> Grid2:
     mu = recover_mu(D, list(u_list), boundary_band=cfg.boundary_band,
-                    mu_background=cfg.mu0, smooth_sigma=cfg.smooth_sigma)
+                    mu_background=cfg.mu0, smooth_sigma=1.0)
     if cfg.tv_weight is not None:
         mu = tv_denoise(mu, TvConfig(weight=cfg.tv_weight, iterations=cfg.tv_iterations))
     return mu

@@ -11,7 +11,6 @@ from sparsesep.dictionaries import (
     explicit,
     fourier1d,
     haar2d,
-    haar_matrix,
     identity,
     mutual_coherence,
     sinusoid2d,
@@ -19,46 +18,43 @@ from sparsesep.dictionaries import (
 from sparsesep.errors import ValidationError
 
 
-def dense_haar_atoms(J):
+def haar_atom_labels(J):
+    """(j, family, k2, k1) of every Haar atom, in coefficient order."""
+    labels = [(j, fam, k2, k1) for j in range(1, J) for fam in (1, 2, 3)
+              for k2 in range(1, 2 ** (J - j) + 1) for k1 in range(1, 2 ** (J - j) + 1)]
+    return labels + [(J - 1, 4, k2, k1) for k2 in (1, 2) for k1 in (1, 2)]
+
+
+def haar_atom_reference(J, j, fam, k2, k1):
     """Independent reference construction straight from the index ranges:
-    per scale j, values +-2^-j on a 2^j x 2^j block at offset 2^j(k-1),
-    family 1 split along the second coordinate, family 2 along the first,
-    family 3 checkerboard, family 4 constant (coarsest scale only).
-    Atom images are indexed [a2-1, a1-1]."""
+    values +-2^-j on the 2^j x 2^j block at offset 2^j(k-1), family 1 split
+    along the second coordinate, family 2 along the first, family 3
+    checkerboard, family 4 constant.  Atom images are indexed [a2-1, a1-1]."""
     d = 2 ** J
-    atoms = []
-    for j in range(1, J):
-        size = 2 ** (J - j)
-        half = 2 ** (j - 1)
-        for fam in (1, 2, 3):
-            for k2 in range(1, size + 1):
-                for k1 in range(1, size + 1):
-                    a = np.zeros((d, d))
-                    r0 = 2 ** j * (k2 - 1)
-                    c0 = 2 ** j * (k1 - 1)
-                    v = 2.0 ** (-j)
-                    if fam == 1:
-                        a[r0:r0 + half, c0:c0 + 2 * half] = -v
-                        a[r0 + half:r0 + 2 * half, c0:c0 + 2 * half] = v
-                    elif fam == 2:
-                        a[r0:r0 + 2 * half, c0:c0 + half] = -v
-                        a[r0:r0 + 2 * half, c0 + half:c0 + 2 * half] = v
-                    else:
-                        a[r0:r0 + half, c0:c0 + half] = v
-                        a[r0:r0 + half, c0 + half:c0 + 2 * half] = -v
-                        a[r0 + half:r0 + 2 * half, c0:c0 + half] = -v
-                        a[r0 + half:r0 + 2 * half, c0 + half:c0 + 2 * half] = v
-                    atoms.append(a.ravel())
-    j = J - 1
+    half = 2 ** (j - 1)
+    a = np.zeros((d, d))
+    r0 = 2 ** j * (k2 - 1)
+    c0 = 2 ** j * (k1 - 1)
     v = 2.0 ** (-j)
-    for k2 in (1, 2):
-        for k1 in (1, 2):
-            a = np.zeros((d, d))
-            r0 = 2 ** j * (k2 - 1)
-            c0 = 2 ** j * (k1 - 1)
-            a[r0:r0 + 2 ** j, c0:c0 + 2 ** j] = v
-            atoms.append(a.ravel())
-    return np.column_stack(atoms)
+    if fam == 1:
+        a[r0:r0 + half, c0:c0 + 2 * half] = -v
+        a[r0 + half:r0 + 2 * half, c0:c0 + 2 * half] = v
+    elif fam == 2:
+        a[r0:r0 + 2 * half, c0:c0 + half] = -v
+        a[r0:r0 + 2 * half, c0 + half:c0 + 2 * half] = v
+    elif fam == 3:
+        a[r0:r0 + half, c0:c0 + half] = v
+        a[r0:r0 + half, c0 + half:c0 + 2 * half] = -v
+        a[r0 + half:r0 + 2 * half, c0:c0 + half] = -v
+        a[r0 + half:r0 + 2 * half, c0 + half:c0 + 2 * half] = v
+    else:
+        a[r0:r0 + 2 * half, c0:c0 + 2 * half] = v
+    return a.ravel()
+
+
+def dense_haar_atoms(J):
+    """All reference Haar atoms as the columns of a 4^J x 4^J matrix."""
+    return np.column_stack([haar_atom_reference(J, *label) for label in haar_atom_labels(J)])
 
 
 def dense_sinusoid_atoms(d, L, include_constant):
@@ -105,6 +101,22 @@ def test_haar_rejects_small_J():
         haar2d(1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: haar2d(3.0),
+    lambda: haar2d(True),
+    lambda: sinusoid2d(16.0, 3),
+    lambda: sinusoid2d(16, 2.5),
+    lambda: sinusoid2d(16, np.float64(3)),
+    lambda: identity(2.5),
+    lambda: identity(True),
+    lambda: fourier1d(4.0),
+], ids=["haar2d-J", "haar2d-bool", "sinusoid2d-d", "sinusoid2d-L", "sinusoid2d-numpy-float", "identity-n",
+        "identity-bool", "fourier1d-n"])
+def test_factories_reject_non_integer_sizes(make):
+    with pytest.raises(ValidationError, match="integer"):
+        make()
+
+
 def test_haar_small_gram_is_identity():
     M = haar2d(2).to_matrix()
     assert np.abs(M.T @ M - np.eye(16)).max() < 1e-12
@@ -140,9 +152,23 @@ def test_haar_closed_form_atom_is_synthesis_of_basis_vector(J):
 
 @pytest.mark.parametrize("J", [2, 3, 4, 5])
 def test_haar_matrix_is_dense_reference_bit_for_bit(J):
-    H = haar_matrix(J)
-    assert np.array_equal(H.toarray(), dense_haar_atoms(J).T)
-    assert H.nnz == 4 ** J * (3 * (J - 1) + 1)
+    assert np.array_equal(haar2d(J).to_matrix(), dense_haar_atoms(J))
+
+
+@pytest.mark.parametrize("J", [6, 7])
+@pytest.mark.parametrize("batch", [1, 3, 5])
+def test_haar_batches_agree_with_sampled_reference_at_pipeline_sizes(J, batch):
+    D = haar2d(J)
+    labels = haar_atom_labels(J)
+    rng = np.random.default_rng(batch)
+    # About 200 atoms over every scale and family, the four constant ones included.
+    idx = np.unique(np.concatenate([rng.choice(D.m, 196, replace=False), np.arange(D.m - 4, D.m)]))
+    ref = np.column_stack([haar_atom_reference(J, *labels[k]) for k in idx])
+    X = rng.standard_normal((batch, D.n))
+    Y = np.zeros((batch, D.m))
+    Y[:, idx] = rng.standard_normal((batch, len(idx)))
+    assert np.abs(D.analyze_batch(X)[:, idx] - X @ ref).max() < 1e-12
+    assert np.abs(D.synthesize_batch(Y) - Y[:, idx] @ ref.T).max() < 1e-12
 
 
 def test_haar_construction_allocates_nothing():

@@ -289,13 +289,14 @@ def test_block_tight_target_stops_on_true_residual(N):
 
 def _counting(D, counts):
     """D with its row callables wrapped to add the rows they transform to
-    ``counts``; its closed-form atoms and separable form pass through."""
+    ``counts``; its separable form, and with it the closed-form atoms,
+    passes through."""
     def wrap(fn):
         def counted(rows):
             counts[0] += len(rows)
             return fn(rows)
         return counted
-    return Dictionary(D.kind, D.n, D.m, wrap(D._analyze_rows), wrap(D._synthesize_rows), atom=D._atom,
+    return Dictionary(D.kind, D.n, D.m, wrap(D._analyze_rows), wrap(D._synthesize_rows),
                       separable=D._separable)
 
 

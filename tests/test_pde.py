@@ -419,7 +419,7 @@ def test_integrate_footprint_at_256():
 
 def test_import_leaves_heavy_scipy_modules_out():
     code = ("import sys, sparsesep.pde, sparsesep.qpat, sparsesep.cli; "
-            "print(' '.join(m for m in ('scipy.ndimage', 'scipy.sparse.linalg', 'scipy.fft') if m in sys.modules))")
+            "print(' '.join(m for m in ('scipy.ndimage', 'scipy.sparse', 'scipy.sparse.linalg', 'scipy.fft') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsesep.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
