@@ -7,6 +7,7 @@ All writers are atomic (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -21,9 +22,15 @@ _HEADER = struct.Struct("<4sII4x")  # magic, side, reserved, zero padding to 16 
 
 def _atomic_write(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        # A failed write leaves neither the target nor the temp file changed.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_rg2(path: str, grid: Grid2) -> None:

@@ -5,7 +5,8 @@ h = 1/(d-1), harmonic averaging of D at cell faces and eliminated Dirichlet
 rows.  The resulting SPD system is applied matrix-free and solved by
 conjugate gradient preconditioned with the exact inverse of the
 constant-coefficient Dirichlet Laplacian, which the orthonormal DST-I
-diagonalizes (Concus & Golub 1973).
+diagonalizes (Concus & Golub 1973).  The preconditioner is applied in single
+precision; iterate, residual and the convergence test in double.
 
 Inverse sub-steps: pointwise recovery of grad(log D) from three solutions of
 the same equation via the two-solution identity div(D u1^2 grad(u_j/u1)) = 0,
@@ -118,11 +119,15 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _dst_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DST-I matrix S of order m (symmetric, S @ S = I) and
     1 / (lam_j + lam_k), the inverse eigenvalues of the m x m Dirichlet
-    Laplacian tridiag(-1, 2, -1) (x) I + I (x) tridiag(-1, 2, -1) in that basis."""
+    Laplacian tridiag(-1, 2, -1) (x) I + I (x) tridiag(-1, 2, -1) in that basis.
+
+    Both are float32: the preconditioner is applied in single precision;
+    iterate, residual and the convergence test in double.  Computed in double
+    and rounded once."""
     k = np.arange(1, m + 1)
-    S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    S = (np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))).astype(np.float32)
     lam = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
-    inv = 1.0 / np.add.outer(lam, lam)
+    inv = (1.0 / np.add.outer(lam, lam)).astype(np.float32)
     S.setflags(write=False)
     inv.setflags(write=False)
     return S, inv
@@ -151,7 +156,9 @@ def solve_diffusion(p: DiffusionProblem) -> Grid2:
 
     The SPD system is applied matrix-free from the face conductances and
     solved by conjugate gradient, preconditioned by the exact inverse of the
-    constant-coefficient Dirichlet Laplacian (a DST-I diagonalization).
+    constant-coefficient Dirichlet Laplacian (a DST-I diagonalization),
+    applied in single precision; iterate, residual and the convergence test
+    in double.
     """
     u = grid_with_trace(p.side, p.phi)
     _solve_interior(p.D.values, p.mu.values, u)
@@ -160,8 +167,9 @@ def solve_diffusion(p: DiffusionProblem) -> Grid2:
     return Grid2(u)
 
 
-def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> None:
-    """Overwrite the interior of u with the solution for its boundary values."""
+def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> int:
+    """Overwrite the interior of u with the solution for its boundary values;
+    return the number of CG iterations."""
     d = u.shape[0]
     h2 = (1.0 / (d - 1)) ** 2
     m = d - 2
@@ -183,8 +191,8 @@ def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> None:
     rhs[-1, :] += ay[-1] * u[-1, 1:-1]
     rhs[0, :] += ay[0] * u[0, 1:-1]
 
-    # One scratch buffer serves the neighbour products, the preconditioner
-    # and the updates; the iterate lives in the interior of u.
+    # One scratch buffer serves the neighbour products and the updates; the
+    # iterate lives in the interior of u.
     t = np.empty((m, m))
     tx, ty = t[:, 1:], t[1:]
 
@@ -196,13 +204,17 @@ def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> None:
         out[1:] -= np.multiply(cy, v[:-1], out=ty)
 
     # A positive scale on the preconditioner leaves the iterates unchanged, so
-    # the unit-coefficient Laplacian serves for any D.
+    # the unit-coefficient Laplacian serves for any D.  Its float32 rounding
+    # (about 1e-7) is far below its mismatch to the variable-D operator.
     S, inv = _dst_basis(m)
+    w, ws = np.empty((m, m), np.float32), np.empty((m, m), np.float32)
 
     def precondition(v, out):
-        np.matmul(np.matmul(S, v, out=t), S, out=out)
-        out *= inv
-        np.matmul(np.matmul(S, out, out=t), S, out=out)
+        w[...] = v
+        np.matmul(np.matmul(S, w, out=ws), S, out=w)
+        np.multiply(w, inv, out=w)
+        np.matmul(np.matmul(S, w, out=ws), S, out=w)
+        out[...] = w
 
     x = u[1:-1, 1:-1]
     r = rhs.copy()
@@ -231,6 +243,7 @@ def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> None:
     if it == maxiter or res > 10 * _CG_RTOL:
         raise SolverError(
             f"diffusion CG did not converge: {it} iterations, relative residual={res:.3e}")
+    return it
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +375,8 @@ def recover_log_D(
     d = u1.side
     if not (0 <= ar < d and 0 <= ac < d):
         raise ValidationError(f"anchor pixel ({ar}, {ac}) outside a {d}x{d} grid")
-    if aval <= 0:
-        raise ValidationError("anchor value must be positive")
+    if not (np.isfinite(aval) and aval > 0):
+        raise ValidationError("anchor value must be positive and finite")
     h = 1.0 / (d - 1)
     us = [u.values for u in (u1, u2, u3)]
     if smooth_sigma > 0:

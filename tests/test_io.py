@@ -3,7 +3,7 @@ import pytest
 
 from sparsesep.errors import ValidationError
 from sparsesep.grid import Grid2
-from sparsesep.io import RG2_MAGIC, read_csv_grid, read_rg2, write_csv_grid, write_pgm16, write_rg2
+from sparsesep.io import RG2_MAGIC, _atomic_write, read_csv_grid, read_rg2, write_csv_grid, write_pgm16, write_rg2
 
 
 def test_rg2_round_trip(tmp_path):
@@ -62,3 +62,16 @@ def test_csv_round_trip(tmp_path):
     write_csv_grid(str(path), g)
     back = read_csv_grid(str(path))
     assert np.array_equal(back.values, g.values)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # os.replace onto a directory fails after the temp file is written.
+    target = tmp_path / "target.rg2"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_rg2(str(target), Grid2(np.zeros((4, 4))))
+    # A write that fails after the temp file is opened.
+    with pytest.raises(TypeError):
+        _atomic_write(str(tmp_path / "g.csv"), object())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.rg2"]
+    assert not any(target.iterdir())

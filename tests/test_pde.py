@@ -11,8 +11,10 @@ from sparsesep.errors import ConditioningError, DomainError, SolverError, Valida
 from sparsesep.grid import Grid2
 from sparsesep.pde import (
     DiffusionProblem,
+    _solve_interior,
     div_adjoint,
     grad_forward,
+    grid_with_trace,
     integrate_gradient_field,
     ratio_independence,
     recover_log_D,
@@ -23,6 +25,7 @@ from sparsesep.pde import (
     trace_from_function,
     trace_from_grid,
 )
+from sparsesep.qpat import smooth_bumps
 
 
 def unit_grid(d, value=1.0):
@@ -184,6 +187,17 @@ def test_unreachable_tolerance_raises_solver_error():
         solve_diffusion(problem)
 
 
+@pytest.mark.parametrize("contrast, most", [(2.0, 15), (10.0, 33), (100.0, 63), (None, 9)])
+def test_cg_iterations_at_128(contrast, most):
+    # The iteration counts of the double-precision preconditioner on these
+    # problems: a change to the preconditioner must not cost iterations.
+    d = 128
+    X1, _ = coords(d)
+    Dv = smooth_bumps(d).values if contrast is None else disc_and_bump(d, contrast)
+    u = grid_with_trace(d, 1.0 + 0.1 * np.cos(np.arange(ring_length(d))))
+    assert _solve_interior(Dv, 1.0 + X1, u) <= most
+
+
 def test_discrete_maximum_principle():
     rng = np.random.default_rng(1)
     d = 17
@@ -315,6 +329,15 @@ def test_recover_log_D_conditioning_error():
     # identical solutions have zero ratio gradients everywhere
     with pytest.raises(ConditioningError):
         recover_log_D(u, u, u, ((3, 3), 1.0))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_recover_log_D_rejects_bad_anchor_value(value):
+    d = 17
+    ones = unit_grid(d)
+    u = solve_diffusion(DiffusionProblem(ones, ones, np.ones(ring_length(d))))
+    with pytest.raises(ValidationError, match="anchor value must be positive and finite"):
+        recover_log_D(u, u, u, ((3, 3), value))
 
 
 # ---------------------------------------------------------------------------
