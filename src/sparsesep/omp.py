@@ -22,19 +22,20 @@ The pursuit scores in coefficient space and transforms no image in its
 loop.  With b_f = A_f^T sum_i h_i and b_g^i = A_g^T h_i computed once, the
 correlations of the stacked residual are b_f - N y_f - A_f^T A_g sum_i y_g^i
 on the f block and b_g^i - y_g^i - A_g^T A_f y_f on block i.  The y terms
-vanish on the columns not yet tried, the only ones scored.  The f side
-applies the cross Gram matrix A_f^T A_g (``dictionaries.cross_gram``) once
-to the summed g coefficients; for separable dictionaries such as Haar and
-sinusoids that is two small matrix products per block of 1D rows, no
-image.  A_g^T A_f y_f is the refit's stored cross rows times y_f, and a new
-f atom's cross row is one row of the cross Gram matrix, an outer product of
-two short vectors.  So an iteration costs the same whatever N is.  The
-squared stacked residual of the exact fit is ||h||^2 - b^T y over the active
-set, O(k); near the target it loses its digits to cancellation, so there,
-and for the final per-row norms, the residual is synthesized instead.  This
-is Batch-OMP's Gram-domain update (Rubinstein, Zibulevsky & Elad 2008) with
-the cross Gram matrix applied in closed form; neither it nor the stacked
-matrix is materialized.
+vanish on the columns not yet tried, the only ones scored.  Each refit
+applies the cross Gram matrix A_f^T A_g (``dictionaries.cross_gram``) once,
+to the summed g coefficients, and that one product gives both y_f and the
+f scores; for separable dictionaries such as Haar and sinusoids it is two
+small matrix products per block of 1D rows, no image.  A_g^T A_f y_f
+weights the refit's cross rows by y_f: one row per active f atom, each a
+row of the cross Gram matrix, an outer product of two short vectors.  So
+an iteration costs the same whatever N is.  The squared stacked residual
+of the exact fit is ||h||^2 - b^T y over the active set, O(k); near the
+target it loses its digits to cancellation, so there, and for the final
+per-row norms, the residual is synthesized instead.  This is Batch-OMP's
+Gram-domain update (Rubinstein, Zibulevsky & Elad 2008) with the cross Gram
+matrix applied in closed form; neither it nor the stacked matrix is
+materialized.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class StackedSystem:
         for v in h:
             if v.shape != (self.A_f.n,):
                 raise ValidationError(f"measurement shape {v.shape} != ({self.A_f.n},)")
+            if not np.isfinite(v).all():
+                raise ValidationError("measurements must be finite")
         object.__setattr__(self, "h", h)
 
     @property
@@ -117,17 +120,14 @@ class OmpReport:
     selected: np.ndarray
 
 
-def _grow(arr: np.ndarray, need: int, axis: int = 0) -> np.ndarray:
-    """``arr`` if it holds ``need`` entries along ``axis``, else a copy with
-    room for at least twice as many, so buffers grow geometrically with the
-    active set."""
-    have = arr.shape[axis]
+def _grow(arr: np.ndarray, need: int) -> np.ndarray:
+    """``arr`` if it holds ``need`` rows, else a copy with room for at least
+    twice as many, so buffers grow geometrically with the active set."""
+    have = len(arr)
     if have >= need:
         return arr
-    shape = list(arr.shape)
-    shape[axis] = max(need, 2 * have)
-    out = np.zeros(shape, dtype=arr.dtype)
-    out[(slice(None),) * axis + (slice(have),)] = arr
+    out = np.zeros((max(need, 2 * have),) + arr.shape[1:], dtype=arr.dtype)
+    out[:have] = arr
     return out
 
 
@@ -135,31 +135,26 @@ class _SchurRefit:
     """Exact least-squares refit of the active set through the Schur
     complement of its f block.
 
-    Active f atoms carry their cross rows x = A_g^T a (the rows of X_F) and
-    right-hand sides b_F; active g atoms carry (block, beta) and b_G.
-    Eliminating the f block from the normal equations [[N I, B], [B^T, I]]
-    with B = X_F[:, beta] leaves S = I - B^T B / N, of the size of the g
-    block; S^-1 is kept explicitly, packed (upper triangle by columns), so
-    that bordering it appends a column and moves nothing.  With t = X_F^T b_F
-    maintained per f atom, y_G = S^-1 (b_G - t[beta] / N) and
-    y_F = (b_F - X_F v) / N, v = bincount(beta, y_G).  A new f atom updates
-    S^-1 by Sherman-Morrison; a new g atom borders it, with its column of S
-    taken from X_F^T X_F[:, beta].  Each pivot (the Schur complement of a
-    new atom against the active set) is tested against ``_REFIT_TOL``.
-
-    X_F is stored transposed, one contiguous row per beta, and the rows of
-    the betas that active g atoms use come first (``order`` maps a row to
-    its beta, ``row_of`` back).  v vanishes off those betas, so X_F v and
-    the columns of S read one leading block of ``n_support`` rows, not all
-    m_g of them.
+    Active f atoms carry their cross rows x = A_g^T a (the rows of X_F,
+    stored in the order the atoms entered) and right-hand sides b_F; active
+    g atoms carry (block, beta) and b_G.  Eliminating the f block from the
+    normal equations [[N I, B], [B^T, I]] with B = X_F[:, beta] leaves
+    S = I - B^T B / N, of the size of the g block; S^-1 is kept explicitly,
+    packed (upper triangle by columns), so that bordering it appends a
+    column and moves nothing.  With t = X_F^T b_F maintained per f atom,
+    y_G = S^-1 (b_G - t[beta] / N).  The f block follows from one apply of
+    the cross Gram matrix, g_part = A_f^T A_g sum_i y_g^i, as
+    y_F = (b_F - g_part[F]) / N; the pursuit scores its f side with the same
+    g_part.  A new f atom updates S^-1 by Sherman-Morrison; a new g atom
+    borders it, with its column of S taken from X_F[:, beta]^T X_F.  Each
+    pivot (the Schur complement of a new atom against the active set) is
+    tested against ``_REFIT_TOL``.
     """
 
     def __init__(self, N: int, m_f: int, m_g: int):
         self.N, self.m_f, self.m_g = N, m_f, m_g
-        self.n_f = self.n_g = self.n_support = 0
-        self.cross = np.zeros((m_g, 16))            # X_F^T, rows permuted
-        self.order = np.arange(m_g)
-        self.row_of = np.arange(m_g)
+        self.n_f = self.n_g = 0
+        self.cross = np.zeros((16, m_g))            # X_F, one row per f atom
         self.f_index = np.zeros(16, dtype=int)
         self.f_rhs = np.zeros(16)
         self.g_block = np.zeros(16, dtype=int)
@@ -189,10 +184,10 @@ class _SchurRefit:
             dspr(k, 1.0 / pivot, z, self.sinv[:k * (k + 1) // 2], overwrite_ap=True)
         self.t += rhs * x
         n = self.n_f
-        self.cross = _grow(self.cross, n + 1, axis=1)
+        self.cross = _grow(self.cross, n + 1)
         self.f_index = _grow(self.f_index, n + 1)
         self.f_rhs = _grow(self.f_rhs, n + 1)
-        self.cross[:, n] = x[self.order]
+        self.cross[n] = x
         self.f_index[n] = index
         self.f_rhs[n] = rhs
         self.n_f = n + 1
@@ -202,19 +197,11 @@ class _SchurRefit:
         """Append a g atom (bordering S^-1); False if it depends on the
         active set."""
         k = self.n_g
-        row, lead = self.row_of[beta], self.n_support
-        if row >= lead:             # move beta's row into the leading block
-            other = self.order[lead]
-            self.cross[[lead, row]] = self.cross[[row, lead]]
-            self.order[lead], self.order[row] = beta, other
-            self.row_of[beta], self.row_of[other] = lead, row
-            row = lead
-            self.n_support = lead + 1
-        X = self.cross[:self.n_support, :self.n_f]
-        col = X @ X[row]            # X_F^T X_F[:, beta] on the leading rows
-        s = col[self.row_of[self.g_beta[:k]]] * (-1.0 / self.N)
+        X = self.cross[:self.n_f]
+        col = X[:, beta] @ X        # X_F^T X_F[:, beta]
+        s = col[self.g_beta[:k]] * (-1.0 / self.N)
         z = self._sinv_times(s)
-        pivot = 1.0 - col[row] / self.N - float(s @ z)
+        pivot = 1.0 - col[beta] / self.N - float(s @ z)
         if self._dependent(pivot, 1.0):
             return False
         # [[S, s], [s^T, sigma]]^-1 = [[S^-1, 0], [0, 0]] + [z; -1][z; -1]^T / pivot
@@ -229,17 +216,18 @@ class _SchurRefit:
         self.n_g = k + 1
         return True
 
-    def solve(self):
-        """Coefficients of the exact fit: y_f (m_f,) and y_g (N, m_g)."""
+    def solve(self, gram: Dictionary):
+        """Coefficients of the exact fit, y_f (m_f,) and y_g (N, m_g), and
+        g_part = A_f^T A_g sum_i y_g^i (m_f,), with ``gram`` = A_f^T A_g."""
         k, n = self.n_g, self.n_f
         beta = self.g_beta[:k]
-        y_G = self._sinv_times(self.g_rhs[:k] - self.t[beta] / self.N)
-        v = np.bincount(self.row_of[beta], weights=y_G, minlength=self.n_support)
-        y_f = np.zeros(self.m_f)
-        y_f[self.f_index[:n]] = (self.f_rhs[:n] - v @ self.cross[:self.n_support, :n]) / self.N
         y_g = np.zeros((self.N, self.m_g))
-        y_g[self.g_block[:k], beta] = y_G
-        return y_f, y_g
+        y_g[self.g_block[:k], beta] = self._sinv_times(self.g_rhs[:k] - self.t[beta] / self.N)
+        g_part = gram.synthesize_batch(y_g.sum(axis=0, keepdims=True))[0]
+        F = self.f_index[:n]
+        y_f = np.zeros(self.m_f)
+        y_f[F] = (self.f_rhs[:n] - g_part[F]) / self.N
+        return y_f, y_g, g_part
 
 
 def omp_single(D: Dictionary, f: np.ndarray, cfg: OmpConfig):
@@ -253,6 +241,8 @@ def omp_single(D: Dictionary, f: np.ndarray, cfg: OmpConfig):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (D.n,):
         raise ValidationError(f"signal shape {f.shape} != ({D.n},)")
+    if not np.isfinite(f).all():
+        raise ValidationError("signal must be finite")
     residual = f.copy()
     history = [float(np.linalg.norm(residual))]
     active: list[int] = []
@@ -305,12 +295,13 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     rounding, so any change in the order of the arithmetic can swap them.
 
     The scores come from the refit's coefficients and the cross Gram matrix
-    (see the module docstring); the loop's one ``synthesize_batch`` call,
-    on the cross Gram matrix, marks the top of each iteration.  The stacked
-    residual norm is estimated from the normal equations until the estimate
-    comes within ``_RESIDUAL_MARGIN * ||h||^2`` of the squared target; from
-    there, and for the final entry of the history and the per-row norms,
-    each row's residual is synthesized.
+    (see the module docstring).  The pursuit calls ``synthesize_batch``, on
+    the cross Gram matrix, once in each refit and nowhere else: once for the
+    empty fit and once for every atom added.  The stacked residual norm is
+    estimated from the normal equations until the estimate comes within
+    ``_RESIDUAL_MARGIN * ||h||^2`` of the squared target; from there, and
+    for the final entry of the history and the per-row norms, each row's
+    residual is synthesized.
     """
     A_f, A_g, N = sys.A_f, sys.A_g, sys.N
     m_f, m_g = A_f.m, A_g.m
@@ -331,16 +322,13 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
     score_scale[:m_f] = 1.0 / np.sqrt(N)
     scores = np.empty(total_cols)
     f_scores, g_scores = scores[:m_f], scores[m_f:].reshape(N, m_g)
-    cross_y = np.zeros(m_g)                                       # A_g^T A_f y_f
     selected: list[int] = []
 
-    y_f, y_g = active.solve()
+    y_f, y_g, g_part = active.solve(gram)
     stall_tol = 1e-12 * max(1.0, np.sqrt(h_sq))
     residuals = []
 
     while True:
-        # A_f^T A_g sum_i y_g^i, the g part of the f correlations.
-        g_part = gram.synthesize_batch(y_g.sum(axis=0, keepdims=True))[0]
         n_f, k = active.n_f, active.n_g
         y_F = y_f[active.f_index[:n_f]]
         stacked_sq = (h_sq - float(active.f_rhs[:n_f] @ y_F)
@@ -360,9 +348,7 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
 
         # y_f and y_g are zero on every column not yet tried.
         np.subtract(bf_full, g_part, out=f_scores)
-        if n_f:
-            cross_y[active.order] = active.cross[:, :n_f] @ y_F
-        np.subtract(bg_full, cross_y, out=g_scores)
+        np.subtract(bg_full, y_F @ active.cross[:n_f], out=g_scores)
         np.abs(scores, out=scores)
         scores *= score_scale
         gidx = int(np.argmax(scores))
@@ -377,7 +363,7 @@ def omp_block(sys: StackedSystem, cfg: OmpConfig) -> tuple[CoeffBlock, OmpReport
             added = active.add_g(block, beta, bg_full[block, beta])
         if added:
             selected.append(gidx)
-            y_f, y_g = active.solve()
+            y_f, y_g, g_part = active.solve(gram)
 
     if row_sq is None:
         row_sq = _row_residual_sq(data, A_f, A_g, y_f, y_g)

@@ -353,6 +353,8 @@ class GammaVarConfig:
     def __post_init__(self):
         if self.outer_iterations < 0:
             raise ValidationError("outer_iterations must be nonnegative")
+        if self.tv_weight is not None:
+            TvConfig(weight=self.tv_weight, iterations=self.tv_iterations)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsesep.dictionaries import Dictionary, concatenate, explicit, fourier1d, haar2d, identity, sinusoid2d
+from sparsesep.dictionaries import (
+    Dictionary, concatenate, cross_gram, explicit, fourier1d, haar2d, identity, sinusoid2d,
+)
 from sparsesep.errors import ValidationError
 from sparsesep.grid import ZERO_TOL, l0_norm
 from sparsesep.omp import (
@@ -210,14 +212,35 @@ def _random_orthonormal(n):
     return explicit(q)
 
 
-@pytest.mark.parametrize("make_f", [lambda: haar2d(3), lambda: _random_orthonormal(64)],
-                         ids=["haar2d", "explicit"])
-def test_block_coefficients_equal_dense_lstsq(make_f):
+def _random_measurements(A_f, A_g, rng):
+    return tuple(rng.standard_normal(64) for _ in range(3))
+
+
+def _g_heavy_measurements(A_f, A_g, rng):
+    """Six large g atoms per block at random betas, over a small f part: the
+    g atoms enter first, betas out of index order and shared across blocks,
+    and the f atoms follow (18 g and 7 f atoms in 25 selections)."""
+    y_f = np.zeros(A_f.m)
+    y_f[rng.choice(A_f.m, 8, replace=False)] = rng.standard_normal(8)
+    h = []
+    for _ in range(3):
+        y_g = np.zeros(A_g.m)
+        y_g[rng.permutation(A_g.m)[:6]] = np.linspace(12, 6, 6) * rng.choice([-1, 1], 6)
+        h.append(A_f.synthesize(y_f) + A_g.synthesize(y_g))
+    return tuple(h)
+
+
+@pytest.mark.parametrize("make_f, make_h", [
+    (lambda: haar2d(3), _random_measurements),
+    (lambda: _random_orthonormal(64), _random_measurements),
+    (lambda: haar2d(3), _g_heavy_measurements),
+], ids=["haar2d", "explicit", "g_heavy"])
+def test_block_coefficients_equal_dense_lstsq(make_f, make_h):
     # 25 atoms from f and three measurement blocks, refit by the Schur
     # complement, against a dense least-squares fit on the same columns
     rng = np.random.default_rng(11)
     A_f, A_g = make_f(), sinusoid2d(8, 2)
-    sys = StackedSystem(A_f, A_g, tuple(rng.standard_normal(64) for _ in range(3)))
+    sys = StackedSystem(A_f, A_g, make_h(A_f, A_g, rng))
     block, report = omp_block(sys, OmpConfig(25))
     assert report.iterations == 25
     M, rhs = _dense_stacked(A_f, A_g, sys.h)
@@ -332,11 +355,11 @@ def test_dependent_constant_atom_is_rejected():
     assert refit.add_g(0, const, b_g[0, const]) and refit.add_g(1, const, b_g[1, const])
     for k in (60, 61, 62):
         assert refit.add_f(k, A_g.analyze(A_f.atom(k)), b_f[k])
-    y_f, y_g = refit.solve()
+    y_f, y_g = refit.solve(cross_gram(A_f, A_g))[:2]
     for i in range(2):
         assert np.abs(A_f.synthesize(y_f) + A_g.synthesize(y_g[i]) - h[i]).max() < 1e-12
     assert not refit.add_f(63, A_g.analyze(A_f.atom(63)), b_f[63])
-    y_f2, y_g2 = refit.solve()
+    y_f2, y_g2 = refit.solve(cross_gram(A_f, A_g))[:2]
     assert np.array_equal(y_f2, y_f) and np.array_equal(y_g2, y_g)
     # A longer pursuit on data with a random part exhausts the independent
     # columns (64 + 25 of 114) and stops without a singular active set.
@@ -379,6 +402,20 @@ def test_pursuit_memory_follows_work_not_budget():
     assert r_small.stop_reason == r_large.stop_reason == "residual"
     assert r_small.iterations == r_large.iterations == 70
     assert large <= 1.5 * small
+
+
+def test_non_finite_measurements_are_rejected():
+    # A non-finite sample turns every score into NaN, and argmax then picks
+    # atom 0 again and again: refuse such input before the pursuit starts.
+    h = np.random.default_rng(14).standard_normal(64)
+    h[5] = np.nan
+    with pytest.raises(ValidationError):
+        omp_block(StackedSystem(haar2d(3), sinusoid2d(8, 2, True), (h, h)), OmpConfig(20))
+    f = np.ones(16)
+    for bad in (np.nan, np.inf):
+        f[3] = bad
+        with pytest.raises(ValidationError):
+            omp_single(identity(16), f, OmpConfig(5))
 
 
 def test_config_validation():

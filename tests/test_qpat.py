@@ -244,6 +244,15 @@ def test_gammavar_config_validation():
                        budget_step3=10, outer_iterations=-1)
 
 
+@pytest.mark.parametrize("tv", [dict(tv_weight=-1.0), dict(tv_weight=float("nan")),
+                                dict(tv_weight=0.1, tv_iterations=0)],
+                         ids=["negative_weight", "nan_weight", "zero_iterations"])
+def test_gammavar_config_rejects_bad_tv_setting(tv):
+    # rejected when built, not after the step-1 pursuit
+    with pytest.raises(ValidationError):
+        GammaVarConfig(mu0=ones(8), anchor=((0, 0), 1.0), budget_step1=10, **tv)
+
+
 def test_gammavar_outer_pass_takes_forward_solutions():
     # one pass: the intensities are the forward solutions of (D_initial, mu0)
     p, cfg, mu, D_true = gammavar_setup()
