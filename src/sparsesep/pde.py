@@ -8,12 +8,12 @@ constant-coefficient Dirichlet Laplacian, which the orthonormal DST-I
 diagonalizes (Concus & Golub 1973).  The preconditioner is applied in single
 precision; iterate, residual and the convergence test in double.
 
-Inverse sub-steps: pointwise recovery of grad(log D) from three solutions of
-the same equation via the two-solution identity div(D u1^2 grad(u_j/u1)) = 0,
-followed by least-squares integration of the gradient field (an anchored
-Neumann-Poisson solve on the exactly adjoint grad/div pair of ``grid``, done
-exactly in the orthonormal DCT-II basis; Simchony, Chellappa & Shao 1990),
-and the averaged pointwise absorption formula mu = mean_i div(D grad u_i) / u_i.
+Inverse sub-steps apply the same stencil to the data on the interior pixels;
+each ring pixel takes the value of its nearest interior pixel.  grad(log D)
+comes pointwise from three solutions via div(D u1^2 grad(u_j/u1)) = 0 and is
+integrated by least squares (an anchored Neumann-Poisson solve on the exactly
+adjoint grad/div pair of ``grid``, done exactly in the orthonormal DCT-II
+basis; Simchony, Chellappa & Shao 1990); mu = mean_i div(D grad u_i) / u_i.
 Both transforms are applied as dense matrix products, cached per size.
 
 Boundary traces are 1D vectors over the 4(d-1) boundary pixels, walked
@@ -115,6 +115,31 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
+def _faces(c: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Face conductances of c over h^2, harmonic means of the two pixels:
+    ax[r, j] joins columns j, j+1 of interior row r + 1; ay[i, k] joins rows
+    i, i+1 of interior column k + 1."""
+    ax = _harmonic(c[1:-1, :-1], c[1:-1, 1:])
+    ax /= h * h
+    ay = _harmonic(c[:-1, 1:-1], c[1:, 1:-1])
+    ay /= h * h
+    return ax, ay
+
+
+def _flux(ax: np.ndarray, ay: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """div(c grad v) on the interior pixels: the 5-point stencil with the face
+    conductances (ax, ay) = _faces(c, h)."""
+    f = np.diff(v[1:-1], axis=1)
+    f *= ax
+    out = np.subtract(f[:, 1:], f[:, :-1])
+    del f                                   # one flux array alive at a time
+    f = np.diff(v[:, 1:-1], axis=0)
+    f *= ay
+    out += f[1:]
+    out -= f[:-1]
+    return out
+
+
 @lru_cache(maxsize=4)
 def _dst_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DST-I matrix S of order m (symmetric, S @ S = I) and
@@ -168,28 +193,16 @@ def solve_diffusion(p: DiffusionProblem) -> Grid2:
 
 
 def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> int:
-    """Overwrite the interior of u with the solution for its boundary values;
-    return the number of CG iterations."""
-    d = u.shape[0]
-    h2 = (1.0 / (d - 1)) ** 2
-    m = d - 2
-    # Face conductances / h^2: ax[r, j] joins columns j, j+1 of interior row
-    # r + 1; ay[i, c] joins rows i, i+1 of interior column c + 1.
-    ax = _harmonic(D[1:-1, :-1], D[1:-1, 1:])
-    ax /= h2
-    ay = _harmonic(D[:-1, 1:-1], D[1:, 1:-1])
-    ay /= h2
+    """Overwrite the interior of u, which must be zero, with the solution for
+    its boundary values; return the number of CG iterations."""
+    m = u.shape[0] - 2
+    ax, ay = _faces(D, 1.0 / (m + 1))
     diag = ax[:, 1:] + ax[:, :-1]
     diag += ay[1:]
     diag += ay[:-1]
     diag += mu[1:-1, 1:-1]
     cx, cy = ax[:, 1:-1], ay[1:-1]
-
-    rhs = np.zeros((m, m))
-    rhs[:, -1] += ax[:, -1] * u[1:-1, -1]
-    rhs[:, 0] += ax[:, 0] * u[1:-1, 0]
-    rhs[-1, :] += ay[-1] * u[-1, 1:-1]
-    rhs[0, :] += ay[0] * u[0, 1:-1]
+    rhs = _flux(ax, ay, u)                  # the boundary data, as u's interior is 0
 
     # One scratch buffer serves the neighbour products and the updates; the
     # iterate lives in the interior of u.
@@ -283,18 +296,6 @@ def integrate_gradient_field(
 # ---------------------------------------------------------------------------
 # Inverse sub-steps
 
-def _gradient(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx1, d/dx2): centered differences inside, one-sided on the ring."""
-    g2, g1 = np.gradient(v, h)
-    return g1, g2
-
-
-def _divergence(c1: np.ndarray, c2: np.ndarray, h: float) -> np.ndarray:
-    out = np.gradient(c1, h, axis=1)
-    out += np.gradient(c2, h, axis=0)
-    return out
-
-
 def _smooth(v: np.ndarray, sigma: float) -> np.ndarray:
     # Imported here: scipy.ndimage costs import time and memory that only
     # the smoothed variants use.
@@ -308,26 +309,27 @@ def _log_D_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise grad(log D) from div(D u1^2 grad(u_j/u1)) = 0, j = 2, 3.
 
-    Each pixel gives a 2x2 system whose rows are grad(u_j/u1); its
-    temporaries end with this call, before the field is integrated.
+    Each interior pixel solves grad(log D) . grad(u_j/u1) = -div(u1^2
+    grad(u_j/u1)) / u1^2: the solver's 5-point stencil on the right, centred
+    differences in the rows.  Ring pixels copy their nearest interior pixel.
     """
-    w1sq = w1 ** 2
-    rhs = []
-    grads = []
+    ax, ay = _faces(w1 ** 2, h)
+    rows, rhs = [], []
     for wj in (w2, w3):
-        g1, g2 = _gradient(wj / w1, h)
-        grads.append((g1, g2))
-        r = _divergence(w1sq * g1, w1sq * g2, h)
-        r /= w1sq
+        rho = wj / w1
+        rows.append(((rho[1:-1, 2:] - rho[1:-1, :-2]) / (2 * h),
+                     (rho[2:, 1:-1] - rho[:-2, 1:-1]) / (2 * h)))
+        r = _flux(ax, ay, rho)
+        r /= w1[1:-1, 1:-1]
+        r /= w1[1:-1, 1:-1]
         rhs.append(np.negative(r, out=r))
-    del w1sq
-    (a11, a12), (a21, a22) = grads          # row j = grad(u_j/u1)
+    del ax, ay, rho
+    (a11, a12), (a21, a22) = rows           # row j = grad(u_j/u1)
     det = a11 * a22 - a12 * a21
 
-    interior = det[1:-1, 1:-1]
-    if interior.min() <= det_threshold:
-        bad = np.argwhere(interior <= det_threshold)[:5] + 1
-        worst = ", ".join(f"(row={r}, col={c}, det={det[r, c]:.3e})" for r, c in bad)
+    if det.min() <= det_threshold:
+        bad = np.argwhere(det <= det_threshold)[:5]
+        worst = ", ".join(f"(row={r + 1}, col={c + 1}, det={det[r, c]:.3e})" for r, c in bad)
         raise ConditioningError(
             f"ratio-gradient determinant at or below {det_threshold} on interior pixels: {worst}")
 
@@ -339,18 +341,7 @@ def _log_D_gradient(
     f2 *= a11
     f2 -= a21 * r1
     f2 /= det
-    # One-sided ring estimates can degenerate even when the interior is fine;
-    # fall back to the nearest interior value there.
-    bad = np.abs(det) <= det_threshold
-    if bad.any():
-        for f in (f1, f2):
-            for src, dst in (((1, slice(None)), (0, slice(None))),
-                             ((-2, slice(None)), (-1, slice(None))),
-                             ((slice(None), 1), (slice(None), 0)),
-                             ((slice(None), -2), (slice(None), -1))):
-                mask = bad[dst]
-                f[dst] = np.where(mask, f[src], f[dst])
-    return f1, f2
+    return np.pad(f1, 1, mode="edge"), np.pad(f2, 1, mode="edge")
 
 
 def recover_log_D(
@@ -363,14 +354,15 @@ def recover_log_D(
 ) -> Grid2:
     """Diffusion coefficient from three solutions sharing the same D and mu.
 
-    Uses div(D u1^2 grad(u_j/u1)) = 0 for j = 2, 3: the two ratio gradients
-    give a pointwise 2x2 system for grad(log D), which is then integrated and
-    anchored at one pixel with known value.  Raises ConditioningError when
-    the ratio-gradient determinant falls below ``det_threshold`` on interior
-    pixels.
+    Uses div(D u1^2 grad(u_j/u1)) = 0 for j = 2, 3: with the forward solver's
+    5-point stencil and centred ratio gradients, each interior pixel gives a
+    2x2 system for grad(log D), and ring pixels copy their nearest interior
+    pixel.  The field is then integrated and anchored at one pixel with known
+    value.  Raises ConditioningError when the ratio-gradient determinant falls
+    below ``det_threshold`` on an interior pixel.
     """
-    if not (u1.side == u2.side == u3.side):
-        raise ValidationError("solutions must share one side length")
+    if not (u1.side == u2.side == u3.side >= 3):
+        raise ValidationError("solutions must share one side length of at least 3")
     (ar, ac), aval = anchor
     d = u1.side
     if not (0 <= ar < d and 0 <= ac < d):
@@ -400,35 +392,42 @@ def recover_mu(
 ) -> Grid2:
     """Averaged pointwise absorption mean_i div(D grad u_i) / u_i.
 
-    Within ``boundary_band`` pixels of the boundary the second derivatives
-    are unreliable, so values there are taken from the known background.
+    The divergence is the forward solver's 5-point stencil on the interior
+    pixels, so exact forward solutions give mu back to the solver's tolerance;
+    ring pixels copy their nearest interior pixel.  Within ``boundary_band``
+    pixels of the boundary (0 <= band < d/2) the known background is used.
     """
     if not u_list:
         raise ValidationError("need at least one solution")
     d = D.side
-    h = 1.0 / (d - 1)
+    bg = mu_background.values if isinstance(mu_background, Grid2) else mu_background
+    if d < 3 or any(u.side != d for u in u_list) or np.shape(bg) not in ((), (d, d)):
+        raise ValidationError("D, the solutions and a grid background must share one side "
+                              "length of at least 3")
+    if not 0 <= 2 * boundary_band < d:
+        raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
+                              f"got {boundary_band}")
+    if boundary_band > 0 and bg is None:
+        raise ValidationError("boundary_band > 0 requires a known background mu")
     Dv = D.values
+    if not np.all(Dv > 0):
+        raise DomainError("D must be strictly positive")
     if smooth_sigma > 0:
         Dv = _smooth(Dv, smooth_sigma)
-    acc = np.zeros((d, d))
+    ax, ay = _faces(Dv, 1.0 / (d - 1))
+    acc = np.zeros((d - 2, d - 2))
     for u in u_list:
         uv = u.values
         if np.any(uv <= 0):
             raise DomainError("solutions must be strictly positive")
         if smooth_sigma > 0:
             uv = _smooth(uv, smooth_sigma)
-        g1, g2 = _gradient(uv, h)
-        acc += _divergence(Dv * g1, Dv * g2, h) / uv
-    mu = acc / len(u_list)
-
+        acc += _flux(ax, ay, uv) / uv[1:-1, 1:-1]
+    acc /= len(u_list)
+    mu = np.pad(acc, 1, mode="edge")
     if boundary_band > 0:
-        if mu_background is None:
-            raise ValidationError("boundary_band > 0 requires a known background mu")
-        bg = mu_background.values if isinstance(mu_background, Grid2) else float(mu_background)
-        r = np.arange(d)
-        edge = np.minimum(r, d - 1 - r)
-        band = np.minimum.outer(edge, edge) < boundary_band
-        mu = np.where(band, bg, mu)
+        edge = np.minimum(np.arange(d), np.arange(d)[::-1])
+        np.copyto(mu, bg, where=np.minimum.outer(edge, edge) < boundary_band)
     return Grid2(mu)
 
 

@@ -25,7 +25,7 @@ from sparsesep.pde import (
     trace_from_function,
     trace_from_grid,
 )
-from sparsesep.qpat import smooth_bumps
+from sparsesep.qpat import boundary_family, convex_inclusions, smooth_bumps
 
 
 def unit_grid(d, value=1.0):
@@ -331,6 +331,12 @@ def test_recover_log_D_conditioning_error():
         recover_log_D(u, u, u, ((3, 3), 1.0))
 
 
+def test_recover_log_D_rejects_grid_without_interior():
+    u = unit_grid(2)
+    with pytest.raises(ValidationError, match="at least 3"):
+        recover_log_D(u, u, u, ((0, 0), 1.0))
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
 def test_recover_log_D_rejects_bad_anchor_value(value):
     d = 17
@@ -391,6 +397,46 @@ def test_recover_mu_band_requires_background():
         recover_mu(unit_grid(d), [u], boundary_band=2)
 
 
+def test_recover_mu_inverts_the_forward_solve():
+    # The inverse step applies the solver's own operator, so exact forward
+    # solutions give mu back to CG tolerance, discontinuities included.
+    d = 64
+    mu = convex_inclusions(d)
+    D = smooth_bumps(d, bumps=((0.55, 0.45, 0.2, 0.4),))
+    us = _forward_set(D, mu, [boundary_family("gammavar", i, d) for i in range(1, 6)])
+    rec = recover_mu(D, us, boundary_band=1, mu_background=mu)
+    assert np.abs(rec.values - mu.values).max() <= 1e-5
+
+
+def test_recover_mu_ring_copies_nearest_interior_pixel():
+    d = 9
+    X1, X2 = coords(d)
+    u = Grid2(1.0 + 0.2 * X1 ** 3 + 0.3 * np.sin(3 * X2))
+    rec = recover_mu(unit_grid(d), [u]).values
+    assert np.array_equal(rec, np.pad(rec[1:-1, 1:-1], 1, mode="edge"))
+
+
+@pytest.mark.parametrize("D_side, u_side, bg_side", [(8, 16, None), (16, 8, None), (8, 8, 4), (2, 2, None)])
+def test_recover_mu_rejects_mismatched_sides(D_side, u_side, bg_side):
+    bg = 1.0 if bg_side is None else unit_grid(bg_side)
+    with pytest.raises(ValidationError, match="side length"):
+        recover_mu(unit_grid(D_side), [unit_grid(u_side)], boundary_band=1, mu_background=bg)
+
+
+@pytest.mark.parametrize("band", [-1, 4, 9])
+def test_recover_mu_rejects_band_outside_half_side(band):
+    d = 8
+    with pytest.raises(ValidationError, match="boundary_band"):
+        recover_mu(unit_grid(d), [unit_grid(d)], boundary_band=band, mu_background=1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_recover_mu_rejects_nonpositive_D(value):
+    d = 8
+    with pytest.raises(DomainError, match="D must be strictly positive"):
+        recover_mu(unit_grid(d, value), [unit_grid(d)])
+
+
 # ---------------------------------------------------------------------------
 # ratio independence
 
@@ -432,6 +478,22 @@ def test_solve_footprint_at_256():
     phi = 1.0 + 0.1 * np.cos(np.arange(ring_length(d)))
     problem = DiffusionProblem(Grid2(disc_and_bump(d, 2.0)), Grid2(1.0 + X1), phi)
     assert traced_peak_mb(solve_diffusion, problem) <= 8.0
+
+
+def _inverse_footprint_inputs(d=256):
+    D = smooth_bumps(d, bumps=((0.5, 0.5, 0.2, 0.45),))
+    us = _forward_set(D, convex_inclusions(d), [boundary_family("gammavar", i, d) for i in (1, 4, 5)])
+    return D, us
+
+
+def test_recover_log_D_footprint_at_256():
+    D, (u1, u2, u3) = _inverse_footprint_inputs()
+    assert traced_peak_mb(recover_log_D, u1, u2, u3, ((128, 128), float(D.values[128, 128]))) <= 6.0
+
+
+def test_recover_mu_footprint_at_256():
+    D, us = _inverse_footprint_inputs()
+    assert traced_peak_mb(lambda: recover_mu(D, us, boundary_band=4, mu_background=1.0)) <= 4.0
 
 
 def test_integrate_footprint_at_256():
