@@ -69,16 +69,16 @@ _COHERENCE_CHUNK = 128
 class Separable:
     """Atoms that are weighted outer products of two 1D rows.
 
-    Atom k, as a d x d image, is ``weight[k]`` times the outer product of
-    rows first[k] and second[k]: entry (r, c) is the product of their samples
-    r and c.  The rows come in consecutive groups of the given sizes (one
+    Atom k, as a d x d image, is a weight times the outer product of rows
+    first[k] and second[k]: entry (r, c) is the product of their samples r
+    and c.  The rows come in consecutive groups of the given sizes (one
     group by default), each with one of ``weights``, and both rows of an
-    atom lie in one group, so the atoms sit on the diagonal blocks of the
-    n_rows x n_rows grid of row pairs, one atom per cell.  ``cell`` is each
-    atom's index on the raveled grid, ``packed`` its index on the raveled
-    diagonal blocks laid end to end; ``in_order`` says that atom k is packed
-    cell k of a full layout (the pixels), so coefficients need no
-    reordering.
+    atom lie in one group, whose weight the atom takes.  So the atoms sit on
+    the diagonal blocks of the n_rows x n_rows grid of row pairs, one atom
+    per cell.  ``cell`` is each atom's index on the raveled grid, ``packed``
+    its index on the raveled diagonal blocks laid end to end; ``in_order``
+    says that atom k is packed cell k of a full layout (the pixels), so
+    coefficients need no reordering.
     """
 
     def __init__(self, rows: np.ndarray, weights, first: np.ndarray, second: np.ndarray,
@@ -91,17 +91,9 @@ class Separable:
         self.offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
         group = np.searchsorted(self.bounds, first, side="right") - 1
         lo = self.bounds[group]
-        self.weight = self.weights[group]
         self.cell = first * n + second
         self.packed = self.offsets[group] + (first - lo) * sizes[group] + (second - lo)
         self.in_order = np.array_equal(self.packed, np.arange(self.offsets[-1]))
-
-    def atom(self, k: int) -> np.ndarray:
-        """Atom k, raveled, with the rounding of ``Transfer``; adding 0.0
-        turns the -0.0 of a negative sample times a zero into the +0.0 that
-        its sums give."""
-        outer = np.outer(self.weight[k] * self.rows[self.first[k]], self.rows[self.second[k]])
-        return (outer + 0.0).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -239,28 +231,38 @@ def _transfer_rows(coeffs: np.ndarray, source, target) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dictionary container
 
+def _rows(values, width: int, batch: bool) -> np.ndarray:
+    """values as float64 rows of the given width: a (batch, width) array as
+    it is, one (width,) vector as a batch of one."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 + batch or values.shape[-1] != width:
+        expected = f"(batch, {width})" if batch else f"({width},)"
+        raise ValidationError(f"expected an array of shape {expected}, got shape {values.shape}")
+    return values if batch else values[None, :]
+
+
 class Dictionary:
     """Indexed family of unit-norm atoms with synthesis/analysis operators.
 
     Immutable after construction; analyze/synthesize are pure.  Signals are
-    1D vectors of length n; batched variants act on stacked rows.  The
-    factories below supply the operators as two row-batch callables,
-    ``analyze_rows`` (batch, n) -> (batch, m) and ``synthesize_rows``
-    (batch, m) -> (batch, n); ``kind`` is only a label.  ``matrix`` is the
-    dense atom matrix when the factory already holds one; ``row`` (k -> row
-    k of the atom matrix) is a closed form when the factory has one, and
-    ``separable`` is a zero-argument callable returning the atoms'
-    ``Separable`` form, which also gives atom k in closed form.
+    1D vectors of length n; batched variants act on stacked rows.  Every
+    dictionary is applied through two row-batch callables that its factory
+    supplies, ``analyze_rows`` (batch, n) -> (batch, m) and
+    ``synthesize_rows`` (batch, m) -> (batch, n); the single-vector forms,
+    atom k (the synthesis of the k-th unit vector) and the dense matrix all
+    go through them.  ``kind`` is only a label.  Two optional forms serve
+    the cross Gram matrix: ``row`` (k -> row k of the atom matrix) in closed
+    form, and ``separable``, a zero-argument callable returning the atoms'
+    ``Separable`` form.
     """
 
-    def __init__(self, kind: str, n: int, m: int, analyze_rows, synthesize_rows, matrix=None,
-                 row=None, separable=None):
+    def __init__(self, kind: str, n: int, m: int, analyze_rows, synthesize_rows, row=None,
+                 separable=None):
         self.kind = kind
         self.n = n
         self.m = m
         self._analyze_rows = analyze_rows
         self._synthesize_rows = synthesize_rows
-        self._matrix = matrix
         self._row = row
         self._separable = separable
 
@@ -270,35 +272,22 @@ class Dictionary:
     # -- core operators ----------------------------------------------------
     def analyze(self, signal: np.ndarray) -> np.ndarray:
         """Inner products of every atom with the signal."""
-        signal = self._check_signal(signal)
-        return self._analyze_rows(signal[None, :])[0]
+        return self._analyze_rows(_rows(signal, self.n, False))[0]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Linear combination of atoms with the given coefficients."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (self.m,):
-            raise ValidationError(f"expected coefficient vector of length {self.m}, got shape {coeffs.shape}")
-        return self._synthesize_rows(coeffs[None, :])[0]
+        return self._synthesize_rows(_rows(coeffs, self.m, False))[0]
 
     def analyze_batch(self, signals: np.ndarray) -> np.ndarray:
-        signals = np.asarray(signals, dtype=np.float64)
-        if signals.ndim != 2 or signals.shape[1] != self.n:
-            raise ValidationError(f"expected (batch, {self.n}) signals, got shape {signals.shape}")
-        return self._analyze_rows(signals)
+        return self._analyze_rows(_rows(signals, self.n, True))
 
     def synthesize_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[1] != self.m:
-            raise ValidationError(f"expected (batch, {self.m}) coefficients, got shape {coeffs.shape}")
-        return self._synthesize_rows(coeffs)
+        return self._synthesize_rows(_rows(coeffs, self.m, True))
 
     def atom(self, k: int) -> np.ndarray:
+        """Atom k: the synthesis of the k-th unit coefficient vector."""
         if not 0 <= k < self.m:
             raise ValidationError(f"atom index {k} out of range [0, {self.m})")
-        if self._matrix is not None:
-            return self._matrix[:, k].copy()
-        if self._separable is not None:
-            return self._separable().atom(k)
         e = np.zeros(self.m)
         e[k] = 1.0
         return self.synthesize(e)
@@ -316,16 +305,7 @@ class Dictionary:
 
     def to_matrix(self) -> np.ndarray:
         """Dense (n, m) atom matrix; intended for small n."""
-        if self._matrix is not None:
-            return self._matrix.copy()
         return self.synthesize_batch(np.eye(self.m)).T
-
-    # -- internals -----------------------------------------------------------
-    def _check_signal(self, signal):
-        signal = np.asarray(signal, dtype=np.float64)
-        if signal.shape != (self.n,):
-            raise ValidationError(f"expected signal of length {self.n}, got shape {signal.shape}")
-        return signal
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +361,7 @@ def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def _matrix_dictionary(kind: str, mat: np.ndarray) -> Dictionary:
     return Dictionary(kind, mat.shape[0], mat.shape[1],
-                      partial(_times, mat=mat), partial(_times, mat=mat.T), matrix=mat)
+                      partial(_times, mat=mat), partial(_times, mat=mat.T))
 
 
 def fourier1d(n: int) -> Dictionary:
@@ -396,7 +376,8 @@ def explicit(matrix: np.ndarray) -> Dictionary:
     if mat.ndim != 2:
         raise ValidationError("explicit dictionary needs a 2D (n, m) matrix")
     norms = np.linalg.norm(mat, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
+    # Written so that a column holding a nan or an inf (norm nan or inf) fails.
+    if not np.all(np.abs(norms - 1.0) <= 1e-8):
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise ValidationError(f"atom {worst} has norm {norms[worst]}, expected 1")
     return _matrix_dictionary("explicit", mat)

@@ -16,7 +16,8 @@ alone.  A new f atom updates S^-1 by Sherman-Morrison, a new g atom borders
 it; each costs O(k_g^2), and its pivot (the new atom's Schur complement
 against the active set) is tested against ``_REFIT_TOL``, so a dependent
 atom is rejected instead of making the system singular.  The buffers grow
-geometrically with the active set, not with the budget.
+geometrically with the active set, not with the budget.  ``StackedSystem``
+refuses atom sets that are not orthonormal.
 
 The pursuit scores in coefficient space and transforms no image in its
 loop.  With b_f = A_f^T sum_i h_i and b_g^i = A_g^T h_i computed once, the
@@ -82,7 +83,10 @@ class StackedSystem:
 
     Column index space: [0, m_f) addresses y_f, then block i occupies
     [m_f + i*m_g, m_f + (i+1)*m_g).  The implicit stacked matrix is only ever
-    applied through the dictionaries' fast transforms.
+    applied through the dictionaries' fast transforms.  The refit holds only
+    for orthonormal atom sets, so each dictionary must have m <= n and give
+    back a fixed random coefficient vector y, analyze(synthesize(y)), to
+    1e-8 ||y||.
     """
 
     A_f: Dictionary
@@ -100,6 +104,10 @@ class StackedSystem:
                 raise ValidationError(f"measurement shape {v.shape} != ({self.A_f.n},)")
             if not np.isfinite(v).all():
                 raise ValidationError("measurements must be finite")
+        for name, A in (("A_f", self.A_f), ("A_g", self.A_g)):
+            y = np.random.default_rng(0).standard_normal(A.m)
+            if A.m > A.n or np.linalg.norm(A.analyze(A.synthesize(y)) - y) > 1e-8 * np.linalg.norm(y):
+                raise ValidationError(f"{name} ({A.kind}) is not an orthonormal set of atoms")
         object.__setattr__(self, "h", h)
 
     @property

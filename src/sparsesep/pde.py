@@ -104,6 +104,8 @@ class DiffusionProblem:
         if phi.shape != (ring_length(self.D.side),):
             raise ValidationError(
                 f"phi length {phi.size} != 4(d-1) = {ring_length(self.D.side)}")
+        if not np.isfinite(phi).all():
+            raise ValidationError("phi must be finite")
         object.__setattr__(self, "phi", phi)
 
     @property

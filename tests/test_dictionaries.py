@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -327,6 +328,36 @@ def test_shape_validation():
 def test_explicit_requires_unit_norms():
     with pytest.raises(ValidationError):
         explicit(np.eye(4) * 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_explicit_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError):
+        explicit(np.full((2, 2), bad))
+    q = np.eye(4)
+    q[2, 1] = bad
+    with pytest.raises(ValidationError, match="atom 1"):
+        explicit(q)
+
+
+def test_explicit_atoms_and_matrix_are_its_columns_exactly():
+    # Atoms and the dense matrix go through the synthesis operator; for a
+    # matrix dictionary that multiplies by unit vectors, which is exact.
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((12, 12)))
+    D = explicit(q)
+    assert np.array_equal(D.to_matrix(), q)
+    for k in range(D.m):
+        assert np.array_equal(D.atom(k), q[:, k]), k
+
+
+@pytest.mark.parametrize("method, shape", [
+    ("analyze", (5,)), ("analyze", (1, 16)), ("synthesize", (15,)), ("synthesize", ()),
+    ("analyze_batch", (16,)), ("analyze_batch", (2, 15)), ("synthesize_batch", (2, 16, 1)),
+])
+def test_shape_check_names_the_shape_passed(method, shape):
+    D = haar2d(2)
+    with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+        getattr(D, method)(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

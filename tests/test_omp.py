@@ -312,8 +312,7 @@ def test_block_tight_target_stops_on_true_residual(N):
 
 def _counting(D, counts):
     """D with its row callables wrapped to add the rows they transform to
-    ``counts``; its separable form, and with it the closed-form atoms,
-    passes through."""
+    ``counts``; its separable form passes through."""
     def wrap(fn):
         def counted(rows):
             counts[0] += len(rows)
@@ -402,6 +401,31 @@ def test_pursuit_memory_follows_work_not_budget():
     assert r_small.stop_reason == r_large.stop_reason == "residual"
     assert r_small.iterations == r_large.iterations == 70
     assert large <= 1.5 * small
+
+
+def _tilted_basis(n):
+    """An orthonormal basis of R^n whose column 1 is replaced by the
+    normalized sum of columns 0 and 1: unit norms, not orthogonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((n, n)))
+    q[:, 1] = (q[:, 0] + q[:, 1]) / np.sqrt(2.0)
+    return q
+
+
+@pytest.mark.parametrize("make_f", [
+    lambda: explicit(_tilted_basis(16)),
+    lambda: concatenate(identity(16), fourier1d(16)),
+], ids=["not_orthogonal", "overcomplete"])
+def test_stacked_system_rejects_atoms_that_are_not_orthonormal(make_f):
+    # The Schur refit assumes orthonormal atoms.  Given the tilted basis and
+    # h = one atom of each dictionary, the pursuit fit h after two atoms and
+    # then, not being least squares, let its residual grow back to 1.79 by
+    # the fifth.
+    A_f, A_g = make_f(), identity(16)
+    h = A_f.atom(1) + A_g.atom(3)
+    with pytest.raises(ValidationError, match="A_f .* not an orthonormal set"):
+        StackedSystem(A_f, A_g, (h,))
+    with pytest.raises(ValidationError, match="A_g .* not an orthonormal set"):
+        StackedSystem(A_g, A_f, (h,))
 
 
 def test_non_finite_measurements_are_rejected():

@@ -225,6 +225,17 @@ def test_problem_without_interior_is_rejected():
         DiffusionProblem(unit_grid(2), unit_grid(2), np.ones(ring_length(2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_phi(bad):
+    # A nan in phi ran CG to its iteration cap and came out as SolverError;
+    # an inf failed only after the solve, on the Grid2 of the solution.
+    d = 8
+    phi = np.ones(ring_length(d))
+    phi[5] = bad
+    with pytest.raises(ValidationError, match="phi must be finite"):
+        DiffusionProblem(unit_grid(d), unit_grid(d), phi)
+
+
 # ---------------------------------------------------------------------------
 # adjoint pair and integration
 
