@@ -51,11 +51,10 @@ order, each raveled with l2 slow / l1 fast, constant atom last.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import methodcaller
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import ValidationError
 
@@ -307,6 +306,16 @@ class Dictionary:
         """Dense (n, m) atom matrix; intended for small n."""
         return self.synthesize_batch(np.eye(self.m)).T
 
+    @cached_property
+    def orthonormal(self) -> bool:
+        """Whether the atoms form an orthonormal set: m <= n, and a fixed
+        random coefficient vector y comes back from analyze(synthesize(y))
+        to 1e-8 ||y||.  Checked once per dictionary."""
+        if self.m > self.n:
+            return False
+        y = np.random.default_rng(0).standard_normal(self.m)
+        return bool(np.linalg.norm(self.analyze(self.synthesize(y)) - y) <= 1e-8 * np.linalg.norm(y))
+
 
 # ---------------------------------------------------------------------------
 # Factories
@@ -368,7 +377,10 @@ def fourier1d(n: int) -> Dictionary:
     n = _size("fourier1d", n)
     if n < 2 or n & (n - 1):
         raise ValidationError(f"fourier1d needs n a power of two >= 2, got {n}")
-    return _matrix_dictionary("fourier1d", hadamard(n).astype(np.float64) / np.sqrt(n))
+    H = np.ones((1, 1))      # Sylvester's construction; entries exactly +-1
+    while len(H) < n:
+        H = np.block([[H, H], [H, -H]])
+    return _matrix_dictionary("fourier1d", H / np.sqrt(n))
 
 
 def explicit(matrix: np.ndarray) -> Dictionary:

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg.blas import dspmv, dspr
 
 from .dictionaries import Dictionary, cross_gram
 from .errors import ValidationError
@@ -84,9 +83,8 @@ class StackedSystem:
     Column index space: [0, m_f) addresses y_f, then block i occupies
     [m_f + i*m_g, m_f + (i+1)*m_g).  The implicit stacked matrix is only ever
     applied through the dictionaries' fast transforms.  The refit holds only
-    for orthonormal atom sets, so each dictionary must have m <= n and give
-    back a fixed random coefficient vector y, analyze(synthesize(y)), to
-    1e-8 ||y||.
+    for orthonormal atom sets, so each dictionary must pass
+    ``Dictionary.orthonormal``.
     """
 
     A_f: Dictionary
@@ -105,8 +103,7 @@ class StackedSystem:
             if not np.isfinite(v).all():
                 raise ValidationError("measurements must be finite")
         for name, A in (("A_f", self.A_f), ("A_g", self.A_g)):
-            y = np.random.default_rng(0).standard_normal(A.m)
-            if A.m > A.n or np.linalg.norm(A.analyze(A.synthesize(y)) - y) > 1e-8 * np.linalg.norm(y):
+            if not A.orthonormal:
                 raise ValidationError(f"{name} ({A.kind}) is not an orthonormal set of atoms")
         object.__setattr__(self, "h", h)
 
@@ -156,10 +153,18 @@ class _SchurRefit:
     g_part.  A new f atom updates S^-1 by Sherman-Morrison; a new g atom
     borders it, with its column of S taken from X_F[:, beta]^T X_F.  Each
     pivot (the Schur complement of a new atom against the active set) is
-    tested against ``_REFIT_TOL``.
+    tested against ``_REFIT_TOL``.  The packed products are scipy's BLAS
+    (``dspmv``, ``dspr``), bound when the refit is built: ``import
+    sparsesep`` needs numpy only, and the first pursuit of a process pays
+    for loading scipy.linalg.
     """
 
     def __init__(self, N: int, m_f: int, m_g: int):
+        # Imported here: scipy.linalg costs import time and memory that only
+        # a pursuit uses.
+        from scipy.linalg.blas import dspmv, dspr
+
+        self.dspmv, self.dspr = dspmv, dspr
         self.N, self.m_f, self.m_g = N, m_f, m_g
         self.n_f = self.n_g = 0
         self.cross = np.zeros((16, m_g))            # X_F, one row per f atom
@@ -177,7 +182,7 @@ class _SchurRefit:
 
     def _sinv_times(self, vec: np.ndarray) -> np.ndarray:
         k = self.n_g
-        return dspmv(k, 1.0, self.sinv[:k * (k + 1) // 2], vec) if k else np.zeros(0)
+        return self.dspmv(k, 1.0, self.sinv[:k * (k + 1) // 2], vec) if k else np.zeros(0)
 
     def add_f(self, index: int, x: np.ndarray, rhs: float) -> bool:
         """Append an f atom with cross row x (Sherman-Morrison on S^-1);
@@ -189,7 +194,7 @@ class _SchurRefit:
         if self._dependent(pivot, self.N):
             return False
         if k:
-            dspr(k, 1.0 / pivot, z, self.sinv[:k * (k + 1) // 2], overwrite_ap=True)
+            self.dspr(k, 1.0 / pivot, z, self.sinv[:k * (k + 1) // 2], overwrite_ap=True)
         self.t += rhs * x
         n = self.n_f
         self.cross = _grow(self.cross, n + 1)
@@ -216,7 +221,7 @@ class _SchurRefit:
         size = (k + 1) * (k + 2) // 2
         self.sinv = _grow(self.sinv, size)
         self.sinv[k * (k + 1) // 2:size] = 0.0
-        dspr(k + 1, 1.0 / pivot, np.append(z, -1.0), self.sinv[:size], overwrite_ap=True)
+        self.dspr(k + 1, 1.0 / pivot, np.append(z, -1.0), self.sinv[:size], overwrite_ap=True)
         self.g_block = _grow(self.g_block, k + 1)
         self.g_beta = _grow(self.g_beta, k + 1)
         self.g_rhs = _grow(self.g_rhs, k + 1)

@@ -141,19 +141,11 @@ def test_haar_fast_agrees_with_dense_application():
         assert np.abs(D.synthesize(y) - ref @ y).max() < 1e-10
 
 
-@pytest.mark.parametrize("J", [2, 3, 4, 5, 6])
-def test_haar_closed_form_atom_is_synthesis_of_basis_vector(J):
-    D = haar2d(J)
-    for k in range(D.m):
-        e = np.zeros(D.m)
-        e[k] = 1.0
-        ref, atom = D.synthesize(e), D.atom(k)
-        assert np.array_equal(atom, ref) and np.array_equal(np.signbit(atom), np.signbit(ref)), k
-
-
 @pytest.mark.parametrize("J", [2, 3, 4, 5])
 def test_haar_matrix_is_dense_reference_bit_for_bit(J):
-    assert np.array_equal(haar2d(J).to_matrix(), dense_haar_atoms(J))
+    M, ref = haar2d(J).to_matrix(), dense_haar_atoms(J)
+    # array_equal takes -0.0 for 0.0; the zeros must carry the reference's sign too.
+    assert np.array_equal(M, ref) and np.array_equal(np.signbit(M), np.signbit(ref))
 
 
 @pytest.mark.parametrize("J", [6, 7])
@@ -448,6 +440,19 @@ def test_joint_sparsity_bound_small_n():
         h = rng.standard_normal(n)
         total = np.sum(np.abs(A.analyze(h)) > 1e-10) + np.sum(np.abs(B.analyze(h)) > 1e-10)
         assert total >= bound - 1e-9
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(1, 9)])
+def test_fourier1d_is_scipy_hadamard_bit_for_bit(n):
+    from scipy.linalg import hadamard
+
+    assert np.array_equal(fourier1d(n).to_matrix(), hadamard(n) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 12, 96])
+def test_fourier1d_rejects_sizes_that_are_not_powers_of_two(n):
+    with pytest.raises(ValidationError, match="power of two"):
+        fourier1d(n)
 
 
 def test_concatenate():

@@ -428,6 +428,20 @@ def test_stacked_system_rejects_atoms_that_are_not_orthonormal(make_f):
         StackedSystem(A_g, A_f, (h,))
 
 
+def test_stacked_system_checks_each_dictionary_once(monkeypatch):
+    A_f, A_g = haar2d(3), sinusoid2d(8, 2)
+    h = (np.random.default_rng(16).standard_normal(64),)
+    StackedSystem(A_f, A_g, h)
+    calls = []
+    for A in (A_f, A_g):
+        for name in ("analyze", "synthesize"):
+            method = getattr(A, name)
+            monkeypatch.setattr(A, name, lambda v, method=method: calls.append(method) or method(v))
+    StackedSystem(A_f, A_g, h)
+    StackedSystem(A_g, A_f, h)
+    assert calls == []
+
+
 def test_non_finite_measurements_are_rejected():
     # A non-finite sample turns every score into NaN, and argmax then picks
     # atom 0 again and again: refuse such input before the pursuit starts.
