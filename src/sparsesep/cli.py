@@ -229,31 +229,37 @@ def _cmd_tv(args) -> int:
     return 0
 
 
-def _cmd_qpat_gamma1(args) -> int:
-    cfg = parse_run_config(args.config)
+def _qpat_setup(cfg: dict, family: str, gamma: Grid2, D: Grid2):
+    """The problem of the configured phantom mu with ``gamma``, ``D`` and the
+    named trace family, and the (Haar, sinusoid) dictionary pair."""
     d = cfg["d"]
     mu = qpat.phantom(cfg["phantom_kind"], d)
-    ones = Grid2(np.ones((d, d)))
-    phis = [qpat.boundary_family("gamma1", i, d) for i in range(1, cfg["n_measurements"] + 1)]
-    problem = qpat.make_qpat_problem(ones, mu, ones, phis,
+    phis = [qpat.boundary_family(family, i, d) for i in range(1, cfg["n_measurements"] + 1)]
+    problem = qpat.make_qpat_problem(gamma, mu, D, phis,
                                      noise_seed=cfg["seed"], noise_level=cfg["noise_level"])
+    pair = (dicts.haar2d(cfg["J"]), dicts.sinusoid2d(d, cfg["L"], bool(cfg["include_constant"])))
+    return problem, pair
+
+
+def _cmd_qpat_gamma1(args) -> int:
+    cfg = parse_run_config(args.config)
+    ones = Grid2(np.ones((cfg["d"], cfg["d"])))
+    problem, pair = _qpat_setup(cfg, "gamma1", ones, ones)
     ms = qpat.synthesize_data(problem)
-    A_f = dicts.haar2d(cfg["J"])
-    A_g = dicts.sinusoid2d(d, cfg["L"], bool(cfg["include_constant"]))
     tv_weight = cfg["tv_weight"] or None
     rows = []
     for n in range(1, cfg["n_measurements"] + 1):
-        res = qpat.reconstruct_gamma1(ms.subset(n), (A_f, A_g), cfg["omp_iterations"],
+        res = qpat.reconstruct_gamma1(ms.subset(n), pair, cfg["omp_iterations"],
                                       epsilon=cfg["epsilon"] or None,
-                                      tv_weight=tv_weight, mu_true=mu,
-                                      boundary_values=phis[:n])
+                                      tv_weight=tv_weight, mu_true=problem.mu_true,
+                                      boundary_values=problem.phis[:n])
         rows.append(("gamma1", n, res.error, float(res.report.residuals[-1])))
         if n == cfg["n_measurements"]:
             os.makedirs(cfg["out_dir"], exist_ok=True)
             write_rg2(os.path.join(cfg["out_dir"], "mu.rg2"), res.mu)
             for i, u in enumerate(res.u, start=1):
                 write_rg2(os.path.join(cfg["out_dir"], f"u_{i}.rg2"), u)
-    write_rg2(os.path.join(cfg["out_dir"], "mu_true.rg2"), mu)
+    write_rg2(os.path.join(cfg["out_dir"], "mu_true.rg2"), problem.mu_true)
     _write_metrics(os.path.join(cfg["out_dir"], "metrics.csv"), rows)
     return 0
 
@@ -261,24 +267,18 @@ def _cmd_qpat_gamma1(args) -> int:
 def _cmd_qpat_gammavar(args) -> int:
     cfg = parse_run_config(args.config)
     d = cfg["d"]
-    mu = qpat.phantom(cfg["phantom_kind"], d)
     gamma = qpat.smooth_bumps(d, bumps=((0.40, 0.40, 0.18, 0.4),))
     D_true = qpat.smooth_bumps(d, bumps=((0.62, 0.64, 0.20, 0.5),))
-    phis = [qpat.boundary_family("gammavar", i, d) for i in range(1, cfg["n_measurements"] + 1)]
-    problem = qpat.make_qpat_problem(gamma, mu, D_true, phis,
-                                     noise_seed=cfg["seed"], noise_level=cfg["noise_level"])
-    A_f = dicts.haar2d(cfg["J"])
-    A_g = dicts.sinusoid2d(d, cfg["L"], bool(cfg["include_constant"]))
-    ones = Grid2(np.ones((d, d)))
+    problem, pair = _qpat_setup(cfg, "gammavar", gamma, D_true)
     gcfg = qpat.GammaVarConfig(
-        mu0=ones,
+        mu0=Grid2(np.ones((d, d))),
         anchor=((d // 2, d // 2), float(D_true.values[d // 2, d // 2])),
         budget_step1=cfg["omp_iterations_step1"],
         outer_iterations=cfg["outer_iterations"],
         boundary_band=cfg["boundary_band"],
         tv_weight=cfg["tv_weight"] or None,
     )
-    res = qpat.reconstruct_gammavar(problem, (A_f, A_g), gcfg)
+    res = qpat.reconstruct_gammavar(problem, pair, gcfg)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     write_rg2(os.path.join(out, "mu.rg2"), res.mu)

@@ -22,28 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import Dictionary, analyze_complement_norm, mutual_coherence
+from .dictionaries import Dictionary, mutual_coherence
 from .errors import ValidationError
 from .grid import ZERO_TOL
 
 #: Complement-norm admissibility ceiling for thresholded-bound probes.
 COMPLEMENT_CEILING = 2.0 / 3.0
-
-
-@dataclass(frozen=True)
-class CompletenessParams:
-    """CS1 separation beta and the probe admissibility constant.
-
-    The constant is named d_const to avoid collision with the diffusion
-    coefficient.
-    """
-
-    beta: float
-    d_const: float
-
-    def __post_init__(self):
-        if self.beta <= 0 or self.d_const <= 0:
-            raise ValidationError("beta and d_const must be strictly positive")
+#: Number of A_g atoms combined in each dictionary-aligned probe.
+_ALIGNED_ATOMS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +45,10 @@ class Cs1Violation:
 
 def cs1_check(y_list, beta: float) -> list[Cs1Violation]:
     """Violating triples (i, j, alpha), i < j: both entries nonzero at alpha
-    and |difference| <= beta.  An empty list means CS1 holds."""
+    and |difference| <= beta, for a finite beta >= 0.  An empty list means
+    CS1 holds."""
+    if not 0 <= beta < np.inf:
+        raise ValidationError(f"beta must be nonnegative and finite, got {beta}")
     ys = [np.asarray(y, dtype=np.float64) for y in y_list]
     if len({y.size for y in ys}) > 1:
         raise ValidationError("coefficient vectors must have equal lengths")
@@ -88,6 +77,22 @@ class Cs2Record:
     complement_norm: float
 
 
+def _check_d_const(d_const: float) -> None:
+    if not 0 < d_const < np.inf:
+        raise ValidationError(f"d_const must be positive and finite, got {d_const}")
+
+
+def _probe_signal(A_f: Dictionary, A_g: Dictionary, q: np.ndarray, d_const: float):
+    """(signal norm, complement norm, in domain, S_q) of the probe q, from
+    one analysis of s = A_f q in A_g: the complement is s - A_g(A_g^T s)."""
+    signal = A_f.synthesize(q)
+    coeffs = A_g.analyze(signal)
+    norm = float(np.linalg.norm(signal))
+    comp = float(np.linalg.norm(signal - A_g.synthesize(coeffs)))
+    in_domain = norm > d_const and comp <= COMPLEMENT_CEILING + 1e-12
+    return norm, comp, in_domain, set(np.flatnonzero(np.abs(coeffs) >= 1.0))
+
+
 def cs2_probe(
     A_f: Dictionary,
     A_g: Dictionary,
@@ -99,8 +104,8 @@ def cs2_probe(
     """Evaluate the support-counting inequality on each probe.
 
     A probe q (a coefficient vector over A_f) is in-domain when the signal
-    A_f q has norm above d_const and its component outside span(A_g) has norm
-    at most 2/3.  For in-domain probes the inequality
+    A_f q has norm above d_const > 0 and its component outside span(A_g) has
+    norm at most 2/3.  For in-domain probes the inequality
 
         #(supp q \\ supp y_f) + sum_i #(S_q \\ supp y_g^i)
             > #(union_i supp y_g^i) + ||y_f||_0,
@@ -108,6 +113,7 @@ def cs2_probe(
     with S_q = {alpha : |(analyze_g(A_f q))(alpha)| >= 1}, must hold.  This
     is a probe, not a proof: a full check would require infinitely many q.
     """
+    _check_d_const(d_const)
     f_supp = frozenset(int(a) for a in y_f_supp)
     g_supps = [frozenset(int(a) for a in s) for s in y_g_supps]
     union_g = frozenset().union(*g_supps) if g_supps else frozenset()
@@ -119,11 +125,7 @@ def cs2_probe(
             raise ValidationError(f"probe {pid} has shape {q.shape}, expected ({A_f.m},)")
         if not np.any(np.abs(q) > ZERO_TOL):
             raise ValidationError(f"probe {pid} is zero")
-        signal = A_f.synthesize(q)
-        norm = float(np.linalg.norm(signal))
-        comp = analyze_complement_norm(A_g, signal)
-        in_domain = norm > d_const and comp <= COMPLEMENT_CEILING + 1e-12
-        s_q = set(np.flatnonzero(np.abs(A_g.analyze(signal)) >= 1.0))
+        norm, comp, in_domain, s_q = _probe_signal(A_f, A_g, q, d_const)
         supp_q = set(np.flatnonzero(np.abs(q) > ZERO_TOL))
         lhs = len(supp_q - f_supp) + sum(len(s_q - s) for s in g_supps)
         out.append(Cs2Record(pid, in_domain, lhs, rhs, lhs - rhs, lhs > rhs, norm, comp))
@@ -180,15 +182,15 @@ def random_sparse_probes(m: int, count: int, sparsity: int, rng, scale: float = 
 
 
 def dictionary_aligned_probes(A_f: Dictionary, A_g: Dictionary, count: int, rng,
-                              sparsity: int = 3, scale: float = 100.0):
-    """In-domain probes by construction: analyze random sparse combinations
-    of A_g atoms in A_f, so the complement norm vanishes and the signal norm
-    is controlled by ``scale``."""
+                              scale: float = 100.0):
+    """In-domain probes by construction: analyze random combinations of
+    three A_g atoms in A_f, so the complement norm vanishes and the signal
+    norm is controlled by ``scale``."""
     out = []
     for _ in range(count):
         v = np.zeros(A_g.m)
-        idx = rng.choice(A_g.m, size=sparsity, replace=False)
-        v[idx] = rng.standard_normal(sparsity)
+        idx = rng.choice(A_g.m, size=_ALIGNED_ATOMS, replace=False)
+        v[idx] = rng.standard_normal(_ALIGNED_ATOMS)
         sig = A_g.synthesize(v)
         sig *= scale / np.linalg.norm(sig)
         out.append(A_f.analyze(sig))
@@ -252,22 +254,19 @@ class NormalizedUpRecord:
 def verify_normalized_up(A_f: Dictionary, A_g: Dictionary, probes, d_const: float) -> list[NormalizedUpRecord]:
     """Thresholded one-sided bound ||q||_0 + #S_q >= 2/M per in-domain probe.
 
-    Probes failing the admissibility conditions (signal norm > d_const,
+    Probes failing the admissibility conditions (signal norm > d_const > 0,
     complement norm <= 2/3) are reported as out-of-domain and not judged.
     """
     if A_f.m != A_f.n:
         raise ValidationError("A_f must be a full orthobasis")
+    _check_d_const(d_const)
     bound = 2.0 / mutual_coherence(A_f, A_g)
     out = []
     for pid, q in enumerate(probes):
         q = np.asarray(q, dtype=np.float64)
-        signal = A_f.synthesize(q)
-        norm = float(np.linalg.norm(signal))
-        comp = analyze_complement_norm(A_g, signal)
-        in_domain = norm > d_const and comp <= COMPLEMENT_CEILING + 1e-12
+        _, _, in_domain, s_q = _probe_signal(A_f, A_g, q, d_const)
         l0_q = int(np.sum(np.abs(q) > ZERO_TOL))
-        s_q = int(np.sum(np.abs(A_g.analyze(signal)) >= 1.0))
-        lhs = l0_q + s_q
+        lhs = l0_q + len(s_q)
         passed = (lhs >= bound - 1e-9) if in_domain else None
-        out.append(NormalizedUpRecord(pid, in_domain, l0_q, s_q, lhs, bound, passed))
+        out.append(NormalizedUpRecord(pid, in_domain, l0_q, len(s_q), lhs, bound, passed))
     return out

@@ -32,6 +32,7 @@ from .errors import ConditioningError, DomainError, SolverError, ValidationError
 from .grid import Grid2, div_adjoint, grad_forward  # grad_forward: re-exported
 
 _CG_RTOL = 1e-10
+_DET_THRESHOLD = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +71,11 @@ def trace_from_grid(g: Grid2) -> np.ndarray:
     return g.values[rows, cols]
 
 
-def grid_with_trace(d: int, trace: np.ndarray, fill: float = 0.0) -> np.ndarray:
+def grid_with_trace(d: int, trace: np.ndarray) -> np.ndarray:
     trace = np.asarray(trace, dtype=np.float64)
     if trace.shape != (ring_length(d),):
         raise ValidationError(f"trace length {trace.shape} != ({ring_length(d)},)")
-    out = np.full((d, d), fill)
+    out = np.zeros((d, d))
     rows, cols = ring_coords(d)
     out[rows, cols] = trace
     return out
@@ -307,13 +308,14 @@ def _smooth(v: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _log_D_gradient(
-    w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, h: float, det_threshold: float
+    w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise grad(log D) from div(D u1^2 grad(u_j/u1)) = 0, j = 2, 3.
 
     Each interior pixel solves grad(log D) . grad(u_j/u1) = -div(u1^2
     grad(u_j/u1)) / u1^2: the solver's 5-point stencil on the right, centred
     differences in the rows.  Ring pixels copy their nearest interior pixel.
+    A determinant at or below 1e-8 on an interior pixel is a ConditioningError.
     """
     ax, ay = _faces(w1 ** 2, h)
     rows, rhs = [], []
@@ -329,11 +331,11 @@ def _log_D_gradient(
     (a11, a12), (a21, a22) = rows           # row j = grad(u_j/u1)
     det = a11 * a22 - a12 * a21
 
-    if det.min() <= det_threshold:
-        bad = np.argwhere(det <= det_threshold)[:5]
+    if det.min() <= _DET_THRESHOLD:
+        bad = np.argwhere(det <= _DET_THRESHOLD)[:5]
         worst = ", ".join(f"(row={r + 1}, col={c + 1}, det={det[r, c]:.3e})" for r, c in bad)
         raise ConditioningError(
-            f"ratio-gradient determinant at or below {det_threshold} on interior pixels: {worst}")
+            f"ratio-gradient determinant at or below {_DET_THRESHOLD} on interior pixels: {worst}")
 
     r1, r2 = rhs
     f1 = a22 * r1
@@ -351,7 +353,6 @@ def recover_log_D(
     u2: Grid2,
     u3: Grid2,
     anchor: tuple[tuple[int, int], float],
-    det_threshold: float = 1e-8,
     smooth_sigma: float = 0.0,
 ) -> Grid2:
     """Diffusion coefficient from three solutions sharing the same D and mu.
@@ -360,8 +361,8 @@ def recover_log_D(
     5-point stencil and centred ratio gradients, each interior pixel gives a
     2x2 system for grad(log D), and ring pixels copy their nearest interior
     pixel.  The field is then integrated and anchored at one pixel with known
-    value.  Raises ConditioningError when the ratio-gradient determinant falls
-    below ``det_threshold`` on an interior pixel.
+    value.  Raises ConditioningError when the ratio-gradient determinant is
+    at or below 1e-8 on an interior pixel.
     """
     if not (u1.side == u2.side == u3.side >= 3):
         raise ValidationError("solutions must share one side length of at least 3")
@@ -379,7 +380,7 @@ def recover_log_D(
     if np.any(w1 <= 0):
         raise DomainError("the base solution u1 must be strictly positive")
 
-    f1, f2 = _log_D_gradient(w1, w2, w3, h, det_threshold)
+    f1, f2 = _log_D_gradient(w1, w2, w3, h)
     w = integrate_gradient_field(f1, f2, ((ar, ac), np.log(aval)), h)
     del f1, f2                              # so that the Grid2 copy can reuse them
     return Grid2(np.exp(w, out=w))

@@ -269,7 +269,6 @@ def reconstruct_gamma1(
     budget: int,
     epsilon: float | None = None,
     tv_weight: float | None = None,
-    tv_iterations: int = 100,
     mu_true: Grid2 | None = None,
     boundary_values=None,
 ) -> Gamma1Result:
@@ -278,7 +277,7 @@ def reconstruct_gamma1(
     ``epsilon`` (default: the measurement set's combined tolerance, if any)
     enters the solver as the aggregate target sqrt(N)*epsilon; with neither
     given the pursuit runs to its iteration budget.  ``tv_weight`` switches
-    on total-variation preprocessing of each measurement.
+    on total-variation preprocessing (TvConfig defaults) of each measurement.
 
     The split is determined by the data only up to one additive constant in
     the logs (any constant moved between log mu and every log u_i leaves all
@@ -294,7 +293,7 @@ def reconstruct_gamma1(
         raise ValidationError("dictionary signal dimension does not match the measurements")
     h_grids = ms.h
     if tv_weight is not None:
-        cfg_tv = TvConfig(weight=tv_weight, iterations=tv_iterations)
+        cfg_tv = TvConfig(weight=tv_weight)
         h_grids = tuple(tv_denoise(g, cfg_tv) for g in h_grids)
     eps = ms.epsilon if epsilon is None else epsilon
     target = float(np.sqrt(ms.count) * eps) if eps else 0.0
@@ -324,18 +323,24 @@ def reconstruct_gamma1(
 # ---------------------------------------------------------------------------
 # Variable-Gamma reconstruction
 
+#: Measurement roles: step (1) separates SEPARATION; the gradient-independent
+#: D_TRIPLE (base solution first) feeds the diffusion recoveries (2) and (3b).
+SEPARATION = (0, 1, 2)
+D_TRIPLE = (0, 3, 4)
+
+
 @dataclass(frozen=True)
 class GammaVarConfig:
     """Knobs of the three-step iterative pipeline.
 
-    Measurement roles are index tuples into the problem's measurement list:
-    ``separation`` feeds step (1), ``d_triple`` (base solution first) feeds
-    the diffusion recoveries (2) and (3b); every measurement feeds the
-    absorption average (3c).  Each outer pass starts from forward solutions
-    of the current iterates and runs no pursuit, so ``budget_step3`` has no
-    effect; it is kept so that callers which pass it keep working.
-    ``boundary_band`` must satisfy 0 <= band < d/2.  Both recoveries smooth
-    their inputs with a Gaussian of one pixel.
+    The measurement roles are the module constants SEPARATION (step 1) and
+    D_TRIPLE (steps 2 and 3b), so a problem needs five measurements; every
+    measurement feeds the absorption average (3c).  Each outer pass starts
+    from forward solutions of the current iterates and runs no pursuit, so
+    ``budget_step3`` has no effect; it is kept so that callers which pass it
+    keep working.  ``boundary_band`` must satisfy 0 <= band < d/2.  Both
+    recoveries smooth their inputs with a Gaussian of one pixel, and
+    ``tv_weight`` denoises each absorption iterate with TvConfig's defaults.
     """
 
     mu0: Grid2
@@ -343,18 +348,15 @@ class GammaVarConfig:
     budget_step1: int
     budget_step3: int = 0
     outer_iterations: int = 2
-    separation: tuple[int, ...] = (0, 1, 2)
-    d_triple: tuple[int, int, int] = (0, 3, 4)
     boundary_band: int = 4
     tv_weight: float | None = None
-    tv_iterations: int = 100
     initial_D: Grid2 | None = None      # warm start: skip the first diffusion recovery
 
     def __post_init__(self):
         if self.outer_iterations < 0:
             raise ValidationError("outer_iterations must be nonnegative")
         if self.tv_weight is not None:
-            TvConfig(weight=self.tv_weight, iterations=self.tv_iterations)
+            TvConfig(weight=self.tv_weight)
 
 
 @dataclass(frozen=True)
@@ -387,25 +389,23 @@ def reconstruct_gammavar(
 ) -> GammaVarResult:
     A_f, A_g = dicts
     d = p.side
-    n_meas = p.N
-    for idx in (*cfg.separation, *cfg.d_triple):
-        if not 0 <= idx < n_meas:
-            raise ValidationError(f"measurement index {idx} out of range [0, {n_meas}) "
-                                  f"(separation={cfg.separation}, d_triple={cfg.d_triple})")
+    for idx in (*SEPARATION, *D_TRIPLE):
+        if not 0 <= idx < p.N:
+            raise ValidationError(f"measurement index {idx} out of range [0, {p.N}) "
+                                  f"(separation={SEPARATION}, d_triple={D_TRIPLE})")
     if not 0 <= 2 * cfg.boundary_band < d:
         raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
                               f"got {cfg.boundary_band}")
 
     ms = synthesize_data(p)
     h_img = [g.values for g in ms.h]
-    sep = list(cfg.separation)
-    ta, tb, tc = cfg.d_triple
+    ta, tb, tc = D_TRIPLE
 
     # Step (1): initial separation on the designated subset.  Downstream
     # estimates divide the data by the shared part for every measurement:
     # that keeps one consistent error factor exp(f_true - f_hat) in all u's,
     # which cancels exactly in the ratios the diffusion recovery consumes.
-    sys1 = StackedSystem(A_f, A_g, tuple(h_img[i].ravel() for i in sep))
+    sys1 = StackedSystem(A_f, A_g, tuple(h_img[i].ravel() for i in SEPARATION))
     block1, rep1 = omp_block(sys1, OmpConfig(max_iterations=cfg.budget_step1))
     f_log = A_f.synthesize(block1.y_f).reshape(d, d)
     u_initial = tuple(Grid2(np.exp(h - f_log)) for h in h_img)
@@ -429,7 +429,7 @@ def reconstruct_gammavar(
 
     mu_errors = [_rel_l2_interior(mu_baseline, p.mu_true, 0)]
     D_errors = [_rel_l2_interior(D_cur, p.D_true, cfg.boundary_band)]
-    u_separated = [u_initial[i] for i in sep]
+    u_separated = [u_initial[i] for i in SEPARATION]
     ratio_history: list[float] = []
 
     mu_cur = cfg.mu0
@@ -444,7 +444,7 @@ def reconstruct_gammavar(
             if np.any(u.values <= 0):
                 raise DomainError("forward solution lost positivity")
             u_next.append(u)
-        ratio_history.append(ratio_independence(u_separated, [u_next[i] for i in sep]))
+        ratio_history.append(ratio_independence(u_separated, [u_next[i] for i in SEPARATION]))
 
         # (3b) refresh the diffusion coefficient from the smooth iterate level.
         D_cur = diffusion_from_base(u_next[ta])
@@ -472,5 +472,5 @@ def _mu_step(D: Grid2, u_list, cfg: GammaVarConfig) -> Grid2:
     mu = recover_mu(D, list(u_list), boundary_band=cfg.boundary_band,
                     mu_background=cfg.mu0, smooth_sigma=1.0)
     if cfg.tv_weight is not None:
-        mu = tv_denoise(mu, TvConfig(weight=cfg.tv_weight, iterations=cfg.tv_iterations))
+        mu = tv_denoise(mu, TvConfig(weight=cfg.tv_weight))
     return mu

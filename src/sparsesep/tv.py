@@ -16,20 +16,19 @@ import numpy as np
 from .errors import ValidationError
 from .grid import Grid2, div_adjoint, grad_forward
 
+_DUAL_STEP = 0.25  # the largest unconditionally stable step
+
 
 @dataclass(frozen=True)
 class TvConfig:
     weight: float
     iterations: int = 100
-    dual_step: float = 0.25
 
     def __post_init__(self):
         if not 0 < self.weight < np.inf:
             raise ValidationError(f"weight must be positive and finite, got {self.weight}")
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.dual_step <= 0.25:
-            raise ValidationError(f"dual_step must lie in (0, 0.25], got {self.dual_step}")
 
 
 def _grad(w: np.ndarray) -> np.ndarray:
@@ -56,7 +55,7 @@ def total_variation(g: Grid2 | np.ndarray) -> float:
 def tv_denoise(g: Grid2, cfg: TvConfig) -> Grid2:
     v = g.values
     lam = cfg.weight
-    tau = cfg.dual_step
+    tau = _DUAL_STEP
     p = np.zeros((2,) + v.shape)
     for _ in range(cfg.iterations):
         grad = _grad(_div(p) - v / lam)

@@ -98,6 +98,16 @@ def test_diagnose_csv_schema(tmp_path):
     assert len(lines) == 1 + 8    # random + dictionary-aligned probes
 
 
+@pytest.mark.parametrize("d_const", ["nan", "-1", "0"])
+def test_diagnose_rejects_d_const_that_is_not_positive(tmp_path, capsys, d_const):
+    out = tmp_path / "report.csv"
+    code = run(["diagnose", "--dict-f", "identity:n=64", "--dict-g", "fourier1d:n=64",
+                f"--d-const={d_const}", "--out", str(out)])
+    assert code == 1
+    assert "d_const must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_command(tmp_path):
     d = 17
     dpath, mpath, upath = (tmp_path / n for n in ("D.rg2", "mu.rg2", "u.rg2"))

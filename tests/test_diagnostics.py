@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from sparsesep.dictionaries import explicit, fourier1d, haar2d, identity, sinusoid2d
+from sparsesep.dictionaries import (
+    analyze_complement_norm,
+    explicit,
+    fourier1d,
+    haar2d,
+    identity,
+    sinusoid2d,
+)
 from sparsesep.diagnostics import (
-    CompletenessParams,
     cs1_check,
     cs2_probe,
     dictionary_aligned_probes,
@@ -41,9 +47,13 @@ def test_cs1_threshold_arithmetic():
     assert len(v) == 1 and v[0].alpha == 0
 
 
-def test_completeness_params_validation():
-    with pytest.raises(ValidationError):
-        CompletenessParams(beta=0.0, d_const=1.0)
+@pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf")])
+def test_cs1_rejects_negative_or_non_finite_beta(beta):
+    # identical vectors violate CS1 for every beta >= 0; these betas would
+    # report that CS1 holds (-1, nan) or flag every shared entry (inf)
+    y = np.array([1.0, 0.0, -2.0])
+    with pytest.raises(ValidationError, match="beta"):
+        cs1_check([y, y.copy()], beta)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +209,27 @@ def test_cs2_subset_probe_fails():
     rec = cs2_probe(I, F, list(np.flatnonzero(comb)), [s_q, s_q], [comb], d_const=0.5)[0]
     assert rec.lhs == 0
     assert not rec.passed
+
+
+@pytest.mark.parametrize("d_const", [float("nan"), -1.0, 0.0, float("inf")])
+def test_probes_reject_d_const_that_is_not_positive_and_finite(d_const):
+    n = 16
+    I, F = identity(n), fourier1d(n)
+    comb = dirac_comb(n)
+    with pytest.raises(ValidationError, match="d_const"):
+        cs2_probe(I, F, [0], [[1]], [comb], d_const=d_const)
+    with pytest.raises(ValidationError, match="d_const"):
+        verify_normalized_up(I, F, [comb], d_const=d_const)
+
+
+def test_cs2_norms_are_those_of_the_probe_signal():
+    # a Haar/sinusoid pair, so the complement norms are nonzero
+    A_f, A_g = haar2d(4), sinusoid2d(16, 3, True)
+    probes = random_sparse_probes(A_f.m, 4, 5, np.random.default_rng(2), scale=10.0)
+    for q, rec in zip(probes, cs2_probe(A_f, A_g, [0], [[1]], probes, d_const=1.0)):
+        signal = A_f.synthesize(q)
+        assert rec.signal_norm == float(np.linalg.norm(signal))
+        assert rec.complement_norm == analyze_complement_norm(A_g, signal) > 0
 
 
 # ---------------------------------------------------------------------------

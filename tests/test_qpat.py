@@ -244,13 +244,22 @@ def test_gammavar_config_validation():
                        budget_step3=10, outer_iterations=-1)
 
 
-@pytest.mark.parametrize("tv", [dict(tv_weight=-1.0), dict(tv_weight=float("nan")),
-                                dict(tv_weight=0.1, tv_iterations=0)],
-                         ids=["negative_weight", "nan_weight", "zero_iterations"])
+@pytest.mark.parametrize("tv", [dict(tv_weight=-1.0), dict(tv_weight=float("nan"))],
+                         ids=["negative_weight", "nan_weight"])
 def test_gammavar_config_rejects_bad_tv_setting(tv):
     # rejected when built, not after the step-1 pursuit
     with pytest.raises(ValidationError):
         GammaVarConfig(mu0=ones(8), anchor=((0, 0), 1.0), budget_step1=10, **tv)
+
+
+def test_gammavar_rejects_problem_without_fifth_measurement():
+    # D_TRIPLE = (0, 3, 4) needs a fifth measurement
+    d = D32
+    phis = [boundary_family("gammavar", i, d) for i in range(1, 5)]
+    p = make_qpat_problem(ones(d), convex_inclusions(d), ones(d), phis)
+    cfg = GammaVarConfig(mu0=ones(d), anchor=((d // 2, d // 2), 1.0), budget_step1=10)
+    with pytest.raises(ValidationError, match=r"^measurement index 4 out of range \[0, 4\)"):
+        reconstruct_gammavar(p, (haar2d(5), sinusoid2d(d, 4, True)), cfg)
 
 
 def test_gammavar_outer_pass_takes_forward_solutions():

@@ -14,8 +14,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         TvConfig(weight=float("inf"))
     with pytest.raises(ValidationError):
-        TvConfig(weight=1.0, dual_step=0.3)
-    with pytest.raises(ValidationError):
         TvConfig(weight=1.0, iterations=0)
 
 
