@@ -155,18 +155,14 @@ def l0_norm(b: CoeffBlock) -> int:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Log-domain data vectors h_i plus noise/tolerance metadata.
+    """Log-domain data vectors h_i of one side length.
 
-    ``epsilon`` is the combined tolerance; when ``eta``, ``rho_f`` and
-    ``rho_g`` are all given it must equal their sum (and is filled in
-    automatically when omitted).
+    ``eta`` records the largest noise norm of the measurements, when known;
+    the pursuit's tolerance is passed to it separately.
     """
 
     h: tuple[Grid2, ...]
     eta: float | None = None
-    rho_f: float | None = None
-    rho_g: float | None = None
-    epsilon: float | None = None
 
     def __post_init__(self):
         h = tuple(self.h)
@@ -175,15 +171,6 @@ class MeasurementSet:
         if len({g.side for g in h}) != 1:
             raise ValidationError("all measurements must share one side length")
         object.__setattr__(self, "h", h)
-        parts = (self.rho_f, self.rho_g, self.eta)
-        if all(p is not None for p in parts):
-            total = float(self.rho_f + self.rho_g + self.eta)
-            if self.epsilon is None:
-                object.__setattr__(self, "epsilon", total)
-            elif abs(self.epsilon - total) > 1e-12 * max(1.0, total):
-                raise ValidationError(
-                    f"epsilon={self.epsilon} inconsistent with rho_f+rho_g+eta={total}"
-                )
 
     @property
     def count(self) -> int:
@@ -194,8 +181,7 @@ class MeasurementSet:
         return self.h[0].side
 
     def subset(self, n: int) -> "MeasurementSet":
-        """First n measurements with the same metadata."""
+        """First n measurements with the same ``eta``."""
         if not 1 <= n <= len(self.h):
             raise ValidationError(f"cannot take {n} of {len(self.h)} measurements")
-        return MeasurementSet(self.h[:n], eta=self.eta, rho_f=self.rho_f,
-                              rho_g=self.rho_g, epsilon=self.epsilon)
+        return MeasurementSet(self.h[:n], eta=self.eta)

@@ -265,6 +265,17 @@ def _solve_interior(D: np.ndarray, mu: np.ndarray, u: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Field integration
 
+def _check_anchor(anchor: tuple[tuple[int, int], float], d: int, positive: bool) -> None:
+    """Reject an anchor pixel that is not an integer pair inside the d x d grid,
+    or an anchor value that is not finite (or, with ``positive``, not positive)."""
+    (ar, ac), aval = anchor
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < d for i in (ar, ac)):
+        raise ValidationError(f"anchor pixel ({ar}, {ac}) outside a {d}x{d} grid")
+    if not (np.isfinite(aval) and (aval > 0 or not positive)):
+        rule = "positive and finite" if positive else "finite"
+        raise ValidationError(f"anchor value must be {rule}")
+
+
 def integrate_gradient_field(
     f1: np.ndarray, f2: np.ndarray, anchor: tuple[tuple[int, int], float], h: float
 ) -> np.ndarray:
@@ -274,10 +285,12 @@ def integrate_gradient_field(
     edges), i.e. solves the Neumann-Poisson normal equations
     -div grad w = -div f exactly in the DCT-II basis, which diagonalizes the
     Neumann Laplacian; the constant mode is left out, and the additive
-    constant is fixed afterwards from the anchor value (w(anchor) = value).
+    constant is fixed afterwards from the anchor value (w(anchor) = value),
+    which must be finite at a pixel of the grid.
     """
-    (ar, ac), aval = anchor
     d = f1.shape[0]
+    _check_anchor(anchor, d, positive=False)
+    (ar, ac), aval = anchor
     fx = np.add(f1[:, :-1], f1[:, 1:])
     fx *= 0.5
     fy = np.add(f2[:-1, :], f2[1:, :])
@@ -366,12 +379,9 @@ def recover_log_D(
     """
     if not (u1.side == u2.side == u3.side >= 3):
         raise ValidationError("solutions must share one side length of at least 3")
-    (ar, ac), aval = anchor
     d = u1.side
-    if not (0 <= ar < d and 0 <= ac < d):
-        raise ValidationError(f"anchor pixel ({ar}, {ac}) outside a {d}x{d} grid")
-    if not (np.isfinite(aval) and aval > 0):
-        raise ValidationError("anchor value must be positive and finite")
+    _check_anchor(anchor, d, positive=True)
+    (ar, ac), aval = anchor
     h = 1.0 / (d - 1)
     us = [u.values for u in (u1, u2, u3)]
     if smooth_sigma > 0:

@@ -15,8 +15,8 @@ No pass separates again: single-wavelength diffusive data do not determine
 D, mu and Gamma together (Bal & Ren 2011, Inverse Problems 27, 075003), and
 Haar sparsity cannot tell on which side a smooth Gamma belongs.
 
-Phantom value ranges are illustrative defaults; only positivity matters to
-the pipelines.
+Phantom value ranges are illustrative; only positivity matters to the
+pipelines.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .grid import Grid2, MeasurementSet, CoeffBlock, relative_log_error
 from .omp import OmpConfig, OmpReport, StackedSystem, omp_block
 from .pde import (
     DiffusionProblem,
+    _check_anchor,
     ratio_independence,
     recover_log_D,
     recover_mu,
@@ -81,12 +82,12 @@ def _pixel_coords(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(ax, ax)
 
 
-def convex_inclusions(d: int, background: float = 1.0, inclusions=DEFAULT_INCLUSIONS) -> Grid2:
-    """Homogeneous background with constant convex inclusions."""
+def convex_inclusions(d: int) -> Grid2:
+    """Background 1.0 with the constant convex inclusions DEFAULT_INCLUSIONS."""
     _check_dyadic(d)
     X1, X2 = _pixel_coords(d)
-    img = np.full((d, d), float(background))
-    for spec in inclusions:
+    img = np.ones((d, d))
+    for spec in DEFAULT_INCLUSIONS:
         kind = spec[0]
         if kind == "disk":
             _, cx, cy, r, val = spec
@@ -97,20 +98,16 @@ def convex_inclusions(d: int, background: float = 1.0, inclusions=DEFAULT_INCLUS
             xr = (X1 - cx) * np.cos(t) + (X2 - cy) * np.sin(t)
             yr = -(X1 - cx) * np.sin(t) + (X2 - cy) * np.cos(t)
             mask = (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
-        elif kind == "rect":
+        else:                               # "rect"
             _, cx, cy, hx, hy, val = spec
             mask = (np.abs(X1 - cx) <= hx) & (np.abs(X2 - cy) <= hy)
-        else:
-            raise ValidationError(f"unknown inclusion kind {kind!r}")
         img[mask] = val
     return Grid2(img)
 
 
-def shepp_logan(d: int, lo: float = 1.0, hi: float = 2.0) -> Grid2:
-    """Ten-ellipse head phantom rescaled to the strictly positive range [lo, hi]."""
+def shepp_logan(d: int) -> Grid2:
+    """Ten-ellipse head phantom rescaled to the strictly positive range [1, 2]."""
     _check_dyadic(d)
-    if not 0 < lo < hi:
-        raise ValidationError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     ax = np.linspace(-1.0, 1.0, d)
     X, Y = np.meshgrid(ax, ax)
     img = np.zeros((d, d))
@@ -120,21 +117,21 @@ def shepp_logan(d: int, lo: float = 1.0, hi: float = 2.0) -> Grid2:
         yr = -(X - x0) * np.sin(t) + (Y - y0) * np.cos(t)
         img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += delta
     vmin, vmax = img.min(), img.max()
-    img = lo + (img - vmin) * (hi - lo) / (vmax - vmin)
+    img = 1.0 + (img - vmin) / (vmax - vmin)
     return Grid2(img)
 
 
-def smooth_bumps(d: int, background: float = 1.0, bumps=DEFAULT_BUMPS) -> Grid2:
-    """Positive Gaussian bumps over a constant background."""
+def smooth_bumps(d: int, bumps=DEFAULT_BUMPS) -> Grid2:
+    """Positive Gaussian bumps (cx, cy, sigma, amplitude) over a background of 1.0."""
     _check_dyadic(d)
     X1, X2 = _pixel_coords(d)
-    img = np.full((d, d), float(background))
+    img = np.ones((d, d))
     for cx, cy, sigma, amp in bumps:
         img += amp * np.exp(-((X1 - cx) ** 2 + (X2 - cy) ** 2) / (2.0 * sigma ** 2))
     return Grid2(img)
 
 
-def phantom(kind: str, d: int, **params) -> Grid2:
+def phantom(kind: str, d: int) -> Grid2:
     makers = {
         "convex_inclusions": convex_inclusions,
         "shepp_logan": shepp_logan,
@@ -142,7 +139,7 @@ def phantom(kind: str, d: int, **params) -> Grid2:
     }
     if kind not in makers:
         raise ValidationError(f"unknown phantom kind {kind!r}; choose from {sorted(makers)}")
-    return makers[kind](d, **params)
+    return makers[kind](d)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +215,20 @@ def make_qpat_problem(
     us = []
     Hs = []
     for t in phis:
-        u = solve_diffusion(DiffusionProblem(D, mu, t))
-        if np.any(u.values <= 0):
-            raise DomainError("diffusion solution lost positivity")
+        u = _forward_solution(D, mu, t)
         us.append(u)
         Hs.append(Grid2(gamma.values * mu.values * u.values))
     return QpatProblem(gamma, mu, D, phis, tuple(Hs), tuple(us),
                        noise_seed=int(noise_seed), noise_level=float(noise_level))
+
+
+def _forward_solution(D: Grid2, mu: Grid2, phi: np.ndarray) -> Grid2:
+    """The diffusion solution for one illumination, which must stay strictly
+    positive for the logs of the data."""
+    u = solve_diffusion(DiffusionProblem(D, mu, phi))
+    if np.any(u.values <= 0):
+        raise DomainError("forward solution lost positivity")
+    return u
 
 
 def synthesize_data(p: QpatProblem) -> MeasurementSet:
@@ -274,9 +278,8 @@ def reconstruct_gamma1(
 ) -> Gamma1Result:
     """Separate log mu from the log intensities and exponentiate.
 
-    ``epsilon`` (default: the measurement set's combined tolerance, if any)
-    enters the solver as the aggregate target sqrt(N)*epsilon; with neither
-    given the pursuit runs to its iteration budget.  ``tv_weight`` switches
+    ``epsilon`` enters the solver as the aggregate target sqrt(N)*epsilon;
+    without it the pursuit runs to its iteration budget.  ``tv_weight`` switches
     on total-variation preprocessing (TvConfig defaults) of each measurement.
 
     The split is determined by the data only up to one additive constant in
@@ -295,8 +298,7 @@ def reconstruct_gamma1(
     if tv_weight is not None:
         cfg_tv = TvConfig(weight=tv_weight)
         h_grids = tuple(tv_denoise(g, cfg_tv) for g in h_grids)
-    eps = ms.epsilon if epsilon is None else epsilon
-    target = float(np.sqrt(ms.count) * eps) if eps else 0.0
+    target = float(np.sqrt(ms.count) * epsilon) if epsilon else 0.0
     sys = StackedSystem(A_f, A_g, tuple(g.ravel() for g in h_grids))
     block, report = omp_block(sys, OmpConfig(max_iterations=budget, residual_target=target))
     f_log = A_f.synthesize(block.y_f).reshape(d, d)
@@ -338,9 +340,11 @@ class GammaVarConfig:
     measurement feeds the absorption average (3c).  Each outer pass starts
     from forward solutions of the current iterates and runs no pursuit, so
     ``budget_step3`` has no effect; it is kept so that callers which pass it
-    keep working.  ``boundary_band`` must satisfy 0 <= band < d/2.  Both
-    recoveries smooth their inputs with a Gaussian of one pixel, and
-    ``tv_weight`` denoises each absorption iterate with TvConfig's defaults.
+    keep working.  ``anchor`` (a grid pixel and its positive finite D),
+    ``mu0`` (side d) and ``boundary_band`` (0 <= band < d/2) are checked
+    before the pursuit.  Both recoveries smooth their inputs with a Gaussian
+    of one pixel, and ``tv_weight`` denoises each absorption iterate with
+    TvConfig's defaults.
     """
 
     mu0: Grid2
@@ -350,7 +354,6 @@ class GammaVarConfig:
     outer_iterations: int = 2
     boundary_band: int = 4
     tv_weight: float | None = None
-    initial_D: Grid2 | None = None      # warm start: skip the first diffusion recovery
 
     def __post_init__(self):
         if self.outer_iterations < 0:
@@ -396,6 +399,9 @@ def reconstruct_gammavar(
     if not 0 <= 2 * cfg.boundary_band < d:
         raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
                               f"got {cfg.boundary_band}")
+    _check_anchor(cfg.anchor, d, positive=True)
+    if cfg.mu0.side != d:
+        raise ValidationError(f"mu0 side {cfg.mu0.side} != problem side {d}")
 
     ms = synthesize_data(p)
     h_img = [g.values for g in ms.h]
@@ -420,10 +426,7 @@ def reconstruct_gammavar(
         return recover_log_D(u_base, u_b, u_c, cfg.anchor, smooth_sigma=1.0)
 
     # Step (2): first diffusion estimate from the gradient-independent triple.
-    if cfg.initial_D is not None:
-        D_cur = cfg.initial_D
-    else:
-        D_cur = diffusion_from_base(u_initial[ta])
+    D_cur = diffusion_from_base(u_initial[ta])
     D_initial = D_cur
     mu_baseline = _mu_step(D_cur, u_initial, cfg)
 
@@ -438,12 +441,7 @@ def reconstruct_gammavar(
     for _ in range(cfg.outer_iterations):
         # (3a) forward solutions for the current iterates become the intensities.
         mu_pde = Grid2(np.maximum(mu_cur.values, 0.0))
-        u_next = []
-        for phi in p.phis:
-            u = solve_diffusion(DiffusionProblem(D_cur, mu_pde, phi))
-            if np.any(u.values <= 0):
-                raise DomainError("forward solution lost positivity")
-            u_next.append(u)
+        u_next = [_forward_solution(D_cur, mu_pde, phi) for phi in p.phis]
         ratio_history.append(ratio_independence(u_separated, [u_next[i] for i in SEPARATION]))
 
         # (3b) refresh the diffusion coefficient from the smooth iterate level.

@@ -45,10 +45,9 @@ def _div(p: np.ndarray) -> np.ndarray:
     return div_adjoint(p[1, :, :-1], p[0, :-1, :], 1.0)
 
 
-def total_variation(g: Grid2 | np.ndarray) -> float:
-    """Isotropic discrete TV with forward differences."""
-    v = g.values if isinstance(g, Grid2) else np.asarray(g, dtype=np.float64)
-    grad = _grad(v)
+def total_variation(g: Grid2) -> float:
+    """Isotropic discrete TV of an image, with forward differences."""
+    grad = _grad(g.values)
     return float(np.sum(np.sqrt(grad[0] ** 2 + grad[1] ** 2)))
 
 

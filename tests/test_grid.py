@@ -107,16 +107,6 @@ def test_to_log_names_offending_pixel():
         to_log(Grid2(v))
 
 
-def test_measurement_set_epsilon_rules():
-    h = (Grid2(np.ones((4, 4))),)
-    ms = MeasurementSet(h, eta=0.1, rho_f=0.2, rho_g=0.3)
-    assert ms.epsilon == pytest.approx(0.6)
-    ms2 = MeasurementSet(h, epsilon=0.5)
-    assert ms2.epsilon == 0.5
-    with pytest.raises(ValidationError):
-        MeasurementSet(h, eta=0.1, rho_f=0.2, rho_g=0.3, epsilon=0.9)
-
-
 def test_measurement_set_same_side():
     with pytest.raises(ValidationError):
         MeasurementSet((Grid2(np.ones((4, 4))), Grid2(np.ones((8, 8)))))

@@ -292,6 +292,16 @@ def test_integrate_matches_anchored_least_squares(d):
     assert w[d - 1, d // 2] == 0.75
 
 
+@pytest.mark.parametrize("anchor", [((-1, 0), 0.0), ((12, 0), 0.0), ((0, 12), 0.0),
+                                    ((3, 2.5), 0.0), ((3, 4), np.nan), ((3, 4), np.inf)],
+                         ids=["row_minus_one", "row_d", "col_d", "col_not_integer",
+                              "nan_value", "inf_value"])
+def test_integrate_rejects_anchor_outside_grid_or_not_finite(anchor):
+    d = 12
+    with pytest.raises(ValidationError, match="anchor"):
+        integrate_gradient_field(np.zeros((d, d)), np.zeros((d, d)), anchor, 1.0 / (d - 1))
+
+
 # ---------------------------------------------------------------------------
 # recover_log_D
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from sparsesep import qpat
 from sparsesep.dictionaries import haar2d, sinusoid2d
 from sparsesep.errors import DomainError, ValidationError
 from sparsesep.grid import Grid2
@@ -53,8 +54,8 @@ def test_shepp_logan_positive_and_range():
 
 
 def test_smooth_bumps_zero_bumps_is_constant():
-    g = smooth_bumps(32, background=1.5, bumps=())
-    assert np.all(g.values == 1.5)
+    g = smooth_bumps(32, bumps=())
+    assert np.all(g.values == 1.0)
 
 
 def test_phantom_rejects_bad_kind_and_side():
@@ -206,7 +207,7 @@ def gammavar_setup(d=D32, mu0_is_truth=False):
 
 
 def test_gammavar_fixed_point_of_truth():
-    # Gamma = 1, D = 1 (warm-started), mu0 = truth: the reference solutions
+    # Gamma = 1, D = 1, mu0 = truth: the reference solutions
     # equal the true intensities, so the data-implied ratios are constant and
     # the absorption stays at discretization distance from the truth
     d = D32
@@ -218,7 +219,6 @@ def test_gammavar_fixed_point_of_truth():
         anchor=((d // 2, d // 2), 1.0),
         budget_step1=250, budget_step3=250,
         outer_iterations=1,
-        initial_D=ones(d),
     )
     res = reconstruct_gammavar(p, (haar2d(5), sinusoid2d(d, 4, True)), cfg)
     assert res.ratio_history[0] < 0.02
@@ -230,7 +230,7 @@ def test_gammavar_zero_outer_iterations_returns_baseline():
     p, cfg, mu, D_true = gammavar_setup()
     cfg0 = GammaVarConfig(
         mu0=cfg.mu0, anchor=cfg.anchor, budget_step1=cfg.budget_step1,
-        budget_step3=cfg.budget_step3, outer_iterations=0, initial_D=D_true)
+        budget_step3=cfg.budget_step3, outer_iterations=0)
     res = reconstruct_gammavar(p, (haar2d(5), sinusoid2d(D32, 4, True)), cfg0)
     assert res.mu is res.mu_baseline
     assert res.D is res.D_initial
@@ -260,6 +260,25 @@ def test_gammavar_rejects_problem_without_fifth_measurement():
     cfg = GammaVarConfig(mu0=ones(d), anchor=((d // 2, d // 2), 1.0), budget_step1=10)
     with pytest.raises(ValidationError, match=r"^measurement index 4 out of range \[0, 4\)"):
         reconstruct_gammavar(p, (haar2d(5), sinusoid2d(d, 4, True)), cfg)
+
+
+@pytest.mark.parametrize("change", [
+    dict(anchor=((D32, 0), 1.0)),
+    dict(anchor=((-1, 0), 1.0)),
+    dict(anchor=((16, 16), 0.0)),
+    dict(anchor=((16, 16), float("nan"))),
+    dict(mu0=ones(16)),
+], ids=["anchor_row_d", "anchor_row_minus_one", "anchor_value_zero", "anchor_value_nan",
+        "mu0_side_16"])
+def test_gammavar_rejects_bad_anchor_or_mu0_before_the_pursuit(monkeypatch, change):
+    p, cfg, mu, D_true = gammavar_setup()
+
+    def no_pursuit(*args, **kwargs):
+        pytest.fail("the step-1 pursuit ran before the config was checked")
+
+    monkeypatch.setattr(qpat, "omp_block", no_pursuit)
+    with pytest.raises(ValidationError):
+        reconstruct_gammavar(p, (haar2d(5), sinusoid2d(D32, 4, True)), replace(cfg, **change))
 
 
 def test_gammavar_outer_pass_takes_forward_solutions():
