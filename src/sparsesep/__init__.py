@@ -15,9 +15,6 @@ from .grid import (
     Grid2,
     MeasurementSet,
     ZERO_TOL,
-    from_log,
-    grid_from_signal,
-    l0_norm,
     relative_log_error,
     to_log,
 )

@@ -78,7 +78,6 @@ def parse_dict_spec(spec: str) -> dicts.Dictionary:
 _CONFIG_SCHEMA: dict[str, tuple] = {
     "phantom_kind": (str, None),
     "d": (int, None),
-    "J": (int, None),
     "L": (int, 15),
     "include_constant": (int, 1),
     "n_measurements": (int, 5),
@@ -122,10 +121,6 @@ def parse_run_config(path: str) -> dict:
     d = cfg["d"]
     if d < 4 or d & (d - 1):
         raise ValidationError(f"{path}: d must be a power of two >= 4, got {d}")
-    if cfg["J"] is None:
-        cfg["J"] = d.bit_length() - 1
-    elif 2 ** cfg["J"] != d:
-        raise ValidationError(f"{path}: inconsistent J={cfg['J']} for d={d}")
     for key in ("noise_level", "epsilon", "tv_weight"):
         if not cfg[key] >= 0:
             raise ValidationError(f"{path}: {key} must be nonnegative")
@@ -237,7 +232,8 @@ def _qpat_setup(cfg: dict, family: str, gamma: Grid2, D: Grid2):
     phis = [qpat.boundary_family(family, i, d) for i in range(1, cfg["n_measurements"] + 1)]
     problem = qpat.make_qpat_problem(gamma, mu, D, phis,
                                      noise_seed=cfg["seed"], noise_level=cfg["noise_level"])
-    pair = (dicts.haar2d(cfg["J"]), dicts.sinusoid2d(d, cfg["L"], bool(cfg["include_constant"])))
+    pair = (dicts.haar2d(d.bit_length() - 1),
+            dicts.sinusoid2d(d, cfg["L"], bool(cfg["include_constant"])))
     return problem, pair
 
 
@@ -319,8 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a phantom grid")
-    p.add_argument("--kind", required=True,
-                   choices=["convex_inclusions", "shepp_logan", "smooth_bumps"])
+    p.add_argument("--kind", required=True, choices=sorted(qpat.PHANTOMS))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_phantom)

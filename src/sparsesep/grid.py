@@ -1,6 +1,6 @@
 """Core signal containers: square images, stacked coefficient blocks and
-measurement sets, with the norms, log/exp transforms and the forward-difference
-gradient/divergence pair shared by all modules.
+measurement sets, with the log transform, the relative log error and the
+forward-difference gradient/divergence pair shared by all modules.
 
 Conventions
 -----------
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-#: Absolute threshold below which a coefficient counts as zero in l0 counts.
+#: Absolute threshold below which a coefficient counts as zero.
 ZERO_TOL = 1e-10
 
 
@@ -53,15 +53,6 @@ class Grid2:
         return self.values.ravel()
 
 
-def grid_from_signal(signal: np.ndarray) -> Grid2:
-    """Reshape a length-d^2 signal vector back into a Grid2."""
-    signal = np.asarray(signal, dtype=np.float64)
-    d = int(round(np.sqrt(signal.size)))
-    if d * d != signal.size:
-        raise ValidationError(f"signal length {signal.size} is not a perfect square")
-    return Grid2(signal.reshape(d, d))
-
-
 def to_log(g: Grid2) -> Grid2:
     """Elementwise natural log; every value must be strictly positive."""
     v = g.values
@@ -72,11 +63,6 @@ def to_log(g: Grid2) -> Grid2:
             f"value {v[r, c]} at pixel (row={r}, col={c})"
         )
     return Grid2(np.log(v))
-
-
-def from_log(g: Grid2) -> Grid2:
-    """Elementwise exp; inverse of :func:`to_log`."""
-    return Grid2(np.exp(g.values))
 
 
 def relative_log_error(mu: Grid2, mu_true: Grid2) -> float:
@@ -110,17 +96,10 @@ def div_adjoint(gx: np.ndarray, gy: np.ndarray, h: float) -> np.ndarray:
     return out / h
 
 
-def _support(x: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.abs(x) > ZERO_TOL)
-
-
 @dataclass(frozen=True)
 class CoeffBlock:
-    """Stacked coefficients [y_f, y_g^1, ..., y_g^N] with per-block supports.
-
-    Supports are derived from the entries at construction time (absolute
-    threshold ZERO_TOL), so they always contain exactly the nonzero indices.
-    """
+    """Stacked coefficients [y_f, y_g^1, ..., y_g^N]: read-only 1D blocks,
+    the y_g of equal length."""
 
     y_f: np.ndarray
     y_g: tuple[np.ndarray, ...]
@@ -135,34 +114,12 @@ class CoeffBlock:
         object.__setattr__(self, "y_f", yf)
         object.__setattr__(self, "y_g", yg)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.y_g)
-
-    @property
-    def supports(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        return _support(self.y_f), tuple(_support(v) for v in self.y_g)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.y_f, *self.y_g]) if self.y_g else self.y_f.copy()
-
-
-def l0_norm(b: CoeffBlock) -> int:
-    """Number of nonzero entries across all blocks (threshold ZERO_TOL)."""
-    sf, sg = b.supports
-    return int(sf.size + sum(s.size for s in sg))
-
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Log-domain data vectors h_i of one side length.
-
-    ``eta`` records the largest noise norm of the measurements, when known;
-    the pursuit's tolerance is passed to it separately.
-    """
+    """Log-domain data vectors h_i of one side length."""
 
     h: tuple[Grid2, ...]
-    eta: float | None = None
 
     def __post_init__(self):
         h = tuple(self.h)
@@ -181,7 +138,7 @@ class MeasurementSet:
         return self.h[0].side
 
     def subset(self, n: int) -> "MeasurementSet":
-        """First n measurements with the same ``eta``."""
+        """The first n measurements."""
         if not 1 <= n <= len(self.h):
             raise ValidationError(f"cannot take {n} of {len(self.h)} measurements")
-        return MeasurementSet(self.h[:n], eta=self.eta)
+        return MeasurementSet(self.h[:n])

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConditioningError, DomainError, SolverError, ValidationError
-from .grid import Grid2, div_adjoint, grad_forward  # grad_forward: re-exported
+from .grid import Grid2, div_adjoint
 
 _CG_RTOL = 1e-10
 _DET_THRESHOLD = 1e-8
@@ -64,11 +64,6 @@ def trace_from_function(d: int, fn) -> np.ndarray:
     rows, cols = ring_coords(d)
     hm = d - 1.0
     return np.asarray(fn(cols / hm, rows / hm), dtype=np.float64)
-
-
-def trace_from_grid(g: Grid2) -> np.ndarray:
-    rows, cols = ring_coords(g.side)
-    return g.values[rows, cols]
 
 
 def grid_with_trace(d: int, trace: np.ndarray) -> np.ndarray:
@@ -276,6 +271,13 @@ def _check_anchor(anchor: tuple[tuple[int, int], float], d: int, positive: bool)
         raise ValidationError(f"anchor value must be {rule}")
 
 
+def _check_band(band: int, d: int) -> None:
+    """Reject a boundary band outside 0 <= band < d/2."""
+    if not 0 <= 2 * band < d:
+        raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
+                              f"got {band}")
+
+
 def integrate_gradient_field(
     f1: np.ndarray, f2: np.ndarray, anchor: tuple[tuple[int, int], float], h: float
 ) -> np.ndarray:
@@ -286,8 +288,15 @@ def integrate_gradient_field(
     -div grad w = -div f exactly in the DCT-II basis, which diagonalizes the
     Neumann Laplacian; the constant mode is left out, and the additive
     constant is fixed afterwards from the anchor value (w(anchor) = value),
-    which must be finite at a pixel of the grid.
+    which must be finite at a pixel of the grid.  f1 and f2 must be finite
+    square arrays of one shape, side at least 2.
     """
+    f1, f2 = np.asarray(f1, dtype=np.float64), np.asarray(f2, dtype=np.float64)
+    if f1.ndim != 2 or f2.shape != f1.shape or f1.shape[0] != f1.shape[1] or f1.shape[0] < 2:
+        raise ValidationError(f"gradient fields must be square arrays of one shape and side "
+                              f">= 2, got {f1.shape} and {f2.shape}")
+    if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
+        raise ValidationError("gradient fields must be finite")
     d = f1.shape[0]
     _check_anchor(anchor, d, positive=False)
     (ar, ac), aval = anchor
@@ -417,9 +426,7 @@ def recover_mu(
     if d < 3 or any(u.side != d for u in u_list) or np.shape(bg) not in ((), (d, d)):
         raise ValidationError("D, the solutions and a grid background must share one side "
                               "length of at least 3")
-    if not 0 <= 2 * boundary_band < d:
-        raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
-                              f"got {boundary_band}")
+    _check_band(boundary_band, d)
     if boundary_band > 0 and bg is None:
         raise ValidationError("boundary_band > 0 requires a known background mu")
     Dv = D.values

@@ -32,6 +32,7 @@ from .omp import OmpConfig, OmpReport, StackedSystem, omp_block
 from .pde import (
     DiffusionProblem,
     _check_anchor,
+    _check_band,
     ratio_independence,
     recover_log_D,
     recover_mu,
@@ -131,15 +132,17 @@ def smooth_bumps(d: int, bumps=DEFAULT_BUMPS) -> Grid2:
     return Grid2(img)
 
 
+PHANTOMS = {
+    "convex_inclusions": convex_inclusions,
+    "shepp_logan": shepp_logan,
+    "smooth_bumps": smooth_bumps,
+}
+
+
 def phantom(kind: str, d: int) -> Grid2:
-    makers = {
-        "convex_inclusions": convex_inclusions,
-        "shepp_logan": shepp_logan,
-        "smooth_bumps": smooth_bumps,
-    }
-    if kind not in makers:
-        raise ValidationError(f"unknown phantom kind {kind!r}; choose from {sorted(makers)}")
-    return makers[kind](d)
+    if kind not in PHANTOMS:
+        raise ValidationError(f"unknown phantom kind {kind!r}; choose from {sorted(PHANTOMS)}")
+    return PHANTOMS[kind](d)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +239,10 @@ def synthesize_data(p: QpatProblem) -> MeasurementSet:
 
     The white Gaussian noise is drawn per measurement in index order from one
     generator seeded with ``noise_seed`` and rescaled so that
-    ||n_i|| / ||log H_i|| equals ``noise_level`` exactly; eta records the
-    largest noise norm.
+    ||n_i|| / ||log H_i|| equals ``noise_level`` exactly.
     """
     rng = np.random.default_rng(p.noise_seed)
     out = []
-    eta = 0.0
     for H in p.H:
         if np.any(H.values <= 0):
             raise DomainError("internal data must be strictly positive")
@@ -249,10 +250,9 @@ def synthesize_data(p: QpatProblem) -> MeasurementSet:
         if p.noise_level > 0:
             g = rng.standard_normal(h.shape)
             n = (p.noise_level * np.linalg.norm(h) / np.linalg.norm(g)) * g
-            eta = max(eta, float(np.linalg.norm(n)))
             h = h + n
         out.append(Grid2(h))
-    return MeasurementSet(tuple(out), eta=eta)
+    return MeasurementSet(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,7 @@ def reconstruct_gammavar(
         if not 0 <= idx < p.N:
             raise ValidationError(f"measurement index {idx} out of range [0, {p.N}) "
                                   f"(separation={SEPARATION}, d_triple={D_TRIPLE})")
-    if not 0 <= 2 * cfg.boundary_band < d:
-        raise ValidationError(f"boundary_band must satisfy 0 <= band < d/2 = {d / 2:g}, "
-                              f"got {cfg.boundary_band}")
+    _check_band(cfg.boundary_band, d)
     _check_anchor(cfg.anchor, d, positive=True)
     if cfg.mu0.side != d:
         raise ValidationError(f"mu0 side {cfg.mu0.side} != problem side {d}")

@@ -196,8 +196,8 @@ def test_config_rejects_unknown_key(tmp_path):
     assert run(["qpat-gamma1", "--config", str(cfgp)]) == 1
 
 
-@pytest.mark.parametrize("key", ["lambda1", "lambda2", "omp_iterations_step3"])
-def test_config_rejects_removed_step3_keys(tmp_path, capsys, key):
+@pytest.mark.parametrize("key", ["lambda1", "lambda2", "omp_iterations_step3", "J"])
+def test_config_rejects_removed_keys(tmp_path, capsys, key):
     cfgp = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
     cfgp.write_text(config_text(str(out_dir), n_measurements=5, **{key: 1}))

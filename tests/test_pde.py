@@ -8,12 +8,11 @@ import pytest
 
 import sparsesep
 from sparsesep.errors import ConditioningError, DomainError, SolverError, ValidationError
-from sparsesep.grid import Grid2
+from sparsesep.grid import Grid2, grad_forward
 from sparsesep.pde import (
     DiffusionProblem,
     _solve_interior,
     div_adjoint,
-    grad_forward,
     grid_with_trace,
     integrate_gradient_field,
     ratio_independence,
@@ -23,7 +22,6 @@ from sparsesep.pde import (
     ring_length,
     solve_diffusion,
     trace_from_function,
-    trace_from_grid,
 )
 from sparsesep.qpat import boundary_family, convex_inclusions, smooth_bumps
 
@@ -53,7 +51,7 @@ def test_trace_round_trip():
     d = 8
     X1, X2 = coords(d)
     g = Grid2(X1 + 2 * X2)
-    tr = trace_from_grid(g)
+    tr = g.values[ring_coords(d)]
     tr2 = trace_from_function(d, lambda x1, x2: x1 + 2 * x2)
     assert np.allclose(tr, tr2)
 
@@ -175,7 +173,7 @@ def test_preconditioned_solve_matches_dense_system(d):
     A, b = dense_five_point(Dv, muv, phi)
     dense = np.linalg.solve(A, b).reshape(d - 2, d - 2)
     assert np.linalg.norm(u.values[1:-1, 1:-1] - dense) <= 1e-10 * np.linalg.norm(dense)
-    assert np.array_equal(trace_from_grid(u), phi)
+    assert np.array_equal(u.values[ring_coords(d)], phi)
 
 
 def test_unreachable_tolerance_raises_solver_error():
@@ -300,6 +298,23 @@ def test_integrate_rejects_anchor_outside_grid_or_not_finite(anchor):
     d = 12
     with pytest.raises(ValidationError, match="anchor"):
         integrate_gradient_field(np.zeros((d, d)), np.zeros((d, d)), anchor, 1.0 / (d - 1))
+
+
+_NAN_FIELD = np.zeros((4, 4))
+_NAN_FIELD[1, 2] = np.nan
+
+
+@pytest.mark.parametrize("f1, f2, match", [
+    (np.zeros((4, 5)), np.zeros((4, 5)), "square"),
+    (np.zeros((4, 4)), np.zeros((5, 5)), "one shape"),
+    (np.zeros(16), np.zeros(16), "square"),
+    (np.zeros((1, 1)), np.zeros((1, 1)), ">= 2"),
+    (_NAN_FIELD, np.zeros((4, 4)), "finite"),
+    (np.zeros((4, 4)), np.full((4, 4), np.inf), "finite"),
+], ids=["not_square", "shapes_differ", "one_dimensional", "side_one", "nan_in_f1", "inf_in_f2"])
+def test_integrate_rejects_bad_fields(f1, f2, match):
+    with pytest.raises(ValidationError, match=match):
+        integrate_gradient_field(f1, f2, ((0, 0), 0.0), 1.0 / 3)
 
 
 # ---------------------------------------------------------------------------

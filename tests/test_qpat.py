@@ -100,7 +100,6 @@ def test_synthesize_noise_free_log_identity():
     ms = synthesize_data(p)
     for h, u in zip(ms.h, p.u_true):
         assert np.allclose(h.values, np.log(mu.values) + np.log(u.values), atol=1e-12)
-    assert ms.eta == 0.0
 
 
 def test_synthesize_noise_level_exact():
@@ -110,7 +109,6 @@ def test_synthesize_noise_level_exact():
         n = h.values - np.log(H.values)
         ratio = np.linalg.norm(n) / np.linalg.norm(np.log(H.values))
         assert ratio == pytest.approx(0.176, abs=1e-12)
-    assert ms.eta > 0
 
 
 def test_synthesize_deterministic():
